@@ -55,5 +55,3 @@ class EmbeddingSet:
             self.bot,
         )
 
-
-GradientSet = EmbeddingSet

@@ -103,6 +103,32 @@ class RankingReport:
         }
 
 
+def _positions(candidates: Sequence[Hashable]) -> dict[Hashable, list[int]]:
+    where: dict[Hashable, list[int]] = {}
+    for i, t in enumerate(candidates):
+        where.setdefault(t, []).append(i)
+    return where
+
+
+def _ranks(head, rel, true_tail, candidates, where, score_fn, exclude) -> tuple[int, int, int, int]:
+    """(raw rank, raw pool, filtered rank, filtered pool) from one score_fn call.
+
+    Ranks are pessimistic: 1 + the other candidates scoring at least the
+    true tail. ``where`` maps each candidate to its positions. Filtering
+    drops the candidates in ``exclude`` except the true tail itself.
+    """
+    if true_tail not in where:
+        raise EvaluationError(f"true tail {true_tail!r} not among candidates")
+    scores = np.asarray(score_fn(head, rel, candidates), dtype=np.float64)
+    true_idx = where[true_tail][0]
+    ahead = scores >= scores[true_idx]
+    ahead[true_idx] = False
+    raw = 1 + int(np.count_nonzero(ahead))
+    dropped = {i for t in exclude if t != true_tail for i in where.get(t, ())}
+    ahead[list(dropped)] = False
+    return raw, len(candidates), 1 + int(np.count_nonzero(ahead)), len(candidates) - len(dropped)
+
+
 def rank_query(
     head,
     rel,
@@ -111,20 +137,13 @@ def rank_query(
     score_fn: ScoreFn,
     exclude: frozenset | set = frozenset(),
 ) -> tuple[int, int]:
-    """Pessimistic rank of the true tail and the number of scored candidates.
+    """Pessimistic rank of the true tail and the number of ranked candidates.
 
     ``exclude`` drops known-true tails from the candidate list (the
     filtered setting); the true tail itself is never dropped.
     """
-    kept = [t for t in candidates if t == true_tail or t not in exclude]
-    if true_tail not in kept:
-        raise EvaluationError(f"true tail {true_tail!r} not among candidates")
-    scores = np.asarray(score_fn(head, rel, kept), dtype=np.float64)
-    true_idx = kept.index(true_tail)
-    true_score = scores[true_idx]
-    others = np.delete(scores, true_idx)
-    rank = 1 + int(np.sum(others >= true_score))
-    return rank, len(kept)
+    candidates = list(candidates)
+    return _ranks(head, rel, true_tail, candidates, _positions(candidates), score_fn, exclude)[2:]
 
 
 def _per_query_auc(rank: int, n: int) -> float:
@@ -134,6 +153,7 @@ def _per_query_auc(rank: int, n: int) -> float:
 def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     """Raw and filtered metrics over the test triples.
 
+    Each query is scored once over its relation's whole candidate pool.
     Filtered ranking excludes train and validation tails for the same
     (head, relation); other test triples are not excluded.
     """
@@ -144,15 +164,15 @@ def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     for h, r, t in split.train + split.valid:
         known.setdefault((h, r), set()).add(t)
 
+    pools: dict = {}
     raw_ranks, raw_aucs, filt_ranks, filt_aucs = [], [], [], []
     for h, r, t in split.test:
-        candidates = split.candidate_tails(r)
-        rank, n = rank_query(h, r, t, candidates, score_fn)
+        if r not in pools:
+            candidates = list(split.candidate_tails(r))
+            pools[r] = candidates, _positions(candidates)
+        rank, n, rank_f, n_f = _ranks(h, r, t, *pools[r], score_fn, known.get((h, r), ()))
         raw_ranks.append(rank)
         raw_aucs.append(_per_query_auc(rank, n))
-        rank_f, n_f = rank_query(
-            h, r, t, candidates, score_fn, exclude=known.get((h, r), frozenset())
-        )
         filt_ranks.append(rank_f)
         filt_aucs.append(_per_query_auc(rank_f, n_f))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import TOP_RADIUS, EmbeddingSet, GradientSet
+from .embeddings import TOP_RADIUS, EmbeddingSet
 from .losses import LossBatch, batch_gradient, batch_loss, bucket_losses
 from .normalizer import NormalizedTheory
 
@@ -57,7 +57,12 @@ class LossTrace:
 
 
 class Adam:
-    """Adam with bias correction over a dict of parameter arrays."""
+    """Adam with bias correction over a dict of parameter arrays.
+
+    Dense: every entry's moments decay each step, gradient or not. ``step``
+    updates the moments and the parameters in place through two scratch
+    buffers per array, in the operation order of the textbook formula.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -67,6 +72,7 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -77,19 +83,26 @@ class Adam:
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
-            m_hat = self.m[key] / bc1
-            v_hat = self.v[key] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(params, grads, state: Adam, lr: float | None = None):
-    """Single optimizer step; mutates params and state, returns them."""
-    if lr is not None:
-        state.lr = lr
-    state.step(params, grads)
-    return params, state
+                self._scratch[key] = (np.empty_like(p), np.empty_like(p))
+            m, v = self.m[key], self.v[key]
+            a, b = self._scratch[key]
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(grad, 1.0 - self.beta1, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * grad * grad
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(grad, 1.0 - self.beta2, out=a)
+            a *= grad
+            v += a
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def init_embeddings(theory: NormalizedTheory, cfg: TrainConfig) -> EmbeddingSet:
@@ -203,8 +216,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
                 pick = rng.integers(len(neg_array), size=cfg.batch_size)
                 batch.neg = neg_array[pick]
 
-            loss = batch_loss(batch, e)
-            if not np.isfinite(loss):
+            grads = batch_gradient(batch, e)
+            if not np.isfinite(grads.loss):
                 per_bucket = bucket_losses(batch, e)
                 offender = next(
                     (k for k, v in per_bucket.items() if not np.isfinite(v)), "?"
@@ -212,9 +225,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} in bucket {offender}: {per_bucket}"
                 )
-            epoch_loss = loss
+            epoch_loss = grads.loss
 
-            grads = batch_gradient(batch, e)
             optimizer.step(
                 {
                     "class_centers": e.class_centers,

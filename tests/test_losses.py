@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import loss_reference as ref
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.losses import (
     LossBatch,
@@ -198,6 +199,25 @@ class TestBatch:
         with pytest.raises(MissingSymbolError):
             batch_loss(LossBatch(gamma=0.0, nf1=np.array([[C, 9]])), e)
 
+    @pytest.mark.parametrize("fn", [batch_loss, batch_gradient])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {"nf1": [[-1, D]]},  # would wrap to the last class
+            {"nf1": [[C, 5]]},  # one past the last class
+            {"nf3": [[C, -1, D]]},  # would wrap to the last relation
+            {"nf4": [[1, C, D]]},  # one past the last relation
+            {"bot1": [-2]},
+            {"bot4": [[R, 5]]},
+            {"neg": [[C, R, -1]]},
+        ],
+    )
+    def test_handle_outside_table_rejected(self, fn, rows):
+        e = embed3((1, 0), 0.1, (1, 0), 0.2)
+        batch = LossBatch(gamma=0.0, **{k: np.array(v) for k, v in rows.items()})
+        with pytest.raises(MissingSymbolError):
+            fn(batch, e)
+
 
 # --- finite-difference gradient oracle -----------------------------------
 
@@ -296,3 +316,68 @@ class TestGradients:
         )
         assert np.allclose(both.class_centers, g1.class_centers + g2.class_centers)
         assert np.allclose(both.class_radii, g1.class_radii + g2.class_radii)
+
+
+# --- the fused pass against the loop-shaped reference ---------------------
+
+
+def _close(got, want, tol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = got == want  # equal infinities from Top's sentinel radius
+    with np.errstate(invalid="ignore"):
+        near = np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))
+    return bool(np.all(same | near))
+
+
+def reference_setup(rng, n_classes=7, n_relations=2, dim=3):
+    """Random batch over every handle, Top and Bot included, with repeated
+    rows, an operand paired with itself, coincident centers and a zero
+    relation vector, so zero directions and shared scatter targets occur."""
+    centers = rng.uniform(-1.2, 1.2, (n_classes, dim))
+    centers[4] = centers[3]
+    rels = rng.uniform(-1, 1, (n_relations, dim))
+    rels[1] = 0.0
+    e = embed(centers, rng.uniform(0.0, 0.9, n_classes), rels)
+
+    def rows(width, rel_cols=()):
+        base = rng.integers(1, n_classes, size=(int(rng.integers(2, 6)), width))
+        class_cols = [i for i in range(width) if i not in rel_cols]
+        for col in rel_cols:
+            base[:, col] = rng.integers(0, n_relations, size=len(base))
+        base[0, class_cols] = rng.choice([3, 4])
+        if rng.uniform() < 0.5:
+            base[1, rng.choice(class_cols)] = e.top
+        return base[rng.integers(len(base), size=int(rng.integers(1, 12)))]
+
+    buckets = {
+        "nf1": rows(2),
+        "nf2": rows(3),
+        "nf3": rows(3, (1,)),
+        "nf4": rows(3, (0,)),
+        "bot1": rows(1)[:, 0],
+        "bot2": rows(2),
+        "bot4": rows(2, (0,)),
+        "neg": rows(3, (1,)),
+    }
+    kept = {k: v for k, v in buckets.items() if rng.uniform() < 0.8}
+    return LossBatch(gamma=float(rng.uniform(-0.1, 0.1)), **kept), e
+
+
+class TestFusedMatchesReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_loss_and_gradient(self, seed):
+        batch, e = reference_setup(np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_buckets = ref.bucket_losses(batch, e)
+            want_grad = ref.batch_gradient(batch, e)
+            got_buckets = bucket_losses(batch, e)
+            got_loss = batch_loss(batch, e)
+            got_grad = batch_gradient(batch, e)
+            want_loss = ref.batch_loss(batch, e)
+        assert set(got_buckets) == set(want_buckets)
+        for key, value in want_buckets.items():
+            assert _close(got_buckets[key], value), key
+        assert _close(got_loss, want_loss)
+        assert _close(got_grad.loss, want_loss)
+        for name in ("class_centers", "class_radii", "rel_vectors"):
+            assert _close(getattr(got_grad, name), getattr(want_grad, name)), name

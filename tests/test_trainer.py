@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import loss_reference as ref
+from elball import trainer
 from elball.embeddings import TOP_RADIUS
 from elball.family import family_ontology
 from elball.normalizer import eliminate_abox, normalize
@@ -8,7 +10,6 @@ from elball.trainer import (
     Adam,
     TrainConfig,
     TrainingError,
-    adam_step,
     generate_negatives,
     init_embeddings,
     train,
@@ -51,14 +52,14 @@ class TestAdam:
         params = {"x": np.array([0.5])}
         grads = {"x": np.array([1.0])}
         state = Adam(lr=0.01)
-        adam_step(params, grads, state)
+        state.step(params, grads)
         # bias-corrected ratio is 1 up to eps, so the step is the full lr
         assert params["x"][0] == pytest.approx(0.49, abs=1e-6)
 
     def test_zero_gradient_is_noop(self):
         params = {"x": np.array([0.5, -0.25])}
         state = Adam(lr=0.01)
-        adam_step(params, {"x": np.zeros(2)}, state)
+        state.step(params, {"x": np.zeros(2)})
         assert np.array_equal(params["x"], [0.5, -0.25])
         assert state.t == 1
 
@@ -67,9 +68,23 @@ class TestAdam:
         state = Adam(lr=0.01)
         seen = [params["x"][0]]
         for _ in range(5):
-            adam_step(params, {"x": np.array([2.0])}, state)
+            state.step(params, {"x": np.array([2.0])})
             seen.append(params["x"][0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("shape", [(9, 4), (9,)])
+    def test_in_place_step_matches_out_of_place_formula(self, shape):
+        rng = np.random.default_rng(7)
+        start = rng.normal(size=shape)
+        fast, slow = Adam(lr=0.05), Adam(lr=0.05)
+        p_fast, p_slow = {"x": start.copy()}, {"x": start.copy()}
+        for _ in range(300):
+            grad = rng.normal(size=shape) * (rng.uniform(size=shape) < 0.2)
+            fast.step(p_fast, {"x": grad})
+            ref.adam_step(slow, p_slow, {"x": grad})
+            assert p_fast["x"].tobytes() == p_slow["x"].tobytes()
+        assert fast.m["x"].tobytes() == slow.m["x"].tobytes()
+        assert fast.v["x"].tobytes() == slow.v["x"].tobytes()
 
 
 class TestInit:
@@ -177,6 +192,21 @@ class TestTrain:
         losses = [loss for _, loss in trace.full]
         assert losses[-1] < losses[0]
         assert len(trace.minibatch) == 400
+
+    def test_non_finite_loss_names_bucket(self, monkeypatch):
+        from elball.ontology import parse_ontology
+
+        theory = normalize(parse_ontology("A < B\nC < r some D\n"))
+        poisoned = list(theory.classes).index("D")
+
+        def init_with_nan(theory, cfg):
+            e = init_embeddings(theory, cfg)
+            e.class_centers[poisoned, 0] = np.nan
+            return e
+
+        monkeypatch.setattr(trainer, "init_embeddings", init_with_nan)
+        with pytest.raises(TrainingError, match="epoch 0 in bucket NF3"):
+            train(theory, TrainConfig(dim=2, epochs=3, batch_size=4, seed=0))
 
     def test_fresh_negatives_mode_runs(self, family_theory):
         cfg = TrainConfig(
