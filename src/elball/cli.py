@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -180,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elball", description="Geometric ball embeddings for EL++ ontologies"
     )
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force fixed-order reductions (always on; flag kept for compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="rewrite an ontology into normal-form buckets")
@@ -223,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--measure", choices=("resnik", "lin"), default="resnik")
-    p.add_argument("--combine", choices=("bma",), default="bma")
+    p.add_argument("--measure", choices=semsim.MEASURES, default="resnik")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_semsim)
 
@@ -247,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ELBALL_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"elball: invalid ELBALL_THREADS={threads!r}", file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

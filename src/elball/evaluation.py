@@ -41,7 +41,7 @@ def embedding_score_fn(
         try:
             c = class_index[head]
             r = rel_index[rel]
-            d = np.asarray([class_index[t] for t in tails], dtype=np.intp)
+            d = np.fromiter(map(class_index.__getitem__, tails), np.intp, len(tails))
         except KeyError as exc:
             raise EvaluationError(f"no embedding for symbol {exc.args[0]!r}") from None
         gaps = np.linalg.norm(

@@ -318,12 +318,3 @@ class TestCli:
         same = float(lines[0].split("\t")[2])
         diff = float(lines[1].split("\t")[2])
         assert same > diff  # shared annotation beats disjoint annotation
-
-    def test_invalid_thread_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("ELBALL_THREADS", "zero")
-        assert cli.main(["normalize", "whatever.el"]) == 2
-        assert "ELBALL_THREADS" in capsys.readouterr().err
-
-    def test_valid_thread_env(self, monkeypatch, family_file, capsys):
-        monkeypatch.setenv("ELBALL_THREADS", "2")
-        assert cli.main(["normalize", str(family_file)]) == 0

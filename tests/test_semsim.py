@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from elball.semsim import (
@@ -144,3 +145,52 @@ def test_score_fn_adapter(chain):
     assert scores[0] == pytest.approx(1.0)
     assert scores[1] == pytest.approx(chain.lin("B", "A"))
     assert scores[2] == -math.inf
+
+
+def random_taxonomy(seed):
+    """A seeded DAG with a cycle, an unannotated branch and Top-only entities."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 30))
+    classes = [f"C{i}" for i in range(n)]
+    edges = [
+        (classes[i], classes[p])
+        for i in range(1, n)
+        for p in rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False)
+    ]
+    a, b = rng.choice(n, size=2, replace=False)
+    edges += [(classes[a], classes[b]), (classes[b], classes[a])]
+    edges += [("U0", "Top"), ("U1", "U0")]  # no entity is annotated below U0
+    annotations = {
+        f"E{k}": {classes[i] for i in rng.choice(n, size=int(rng.integers(1, 13)), replace=False)}
+        for k in range(int(rng.integers(10, 25)))
+    }
+    annotations.update({"TopOnly0": {"Top"}, "TopOnly1": {"Top"}, "Bare": set()})
+    return build_taxonomy(edges, annotations)
+
+
+def test_random_taxonomy_covers_edge_cases():
+    index = random_taxonomy(0)
+    assert len(set(index.node_of.values())) < len(index.node_of)  # a collapsed cycle
+    assert index.class_ic("U1") is None
+    assert math.copysign(1.0, index.class_ic("Top")) == -1.0  # IC -0.0
+    sizes = {len(c) for c in index.annotations.values()}
+    assert 0 in sizes and max(sizes) > 8
+
+
+@pytest.mark.parametrize("measure", ["resnik", "lin"])
+@pytest.mark.parametrize("seed", range(8))
+def test_score_fn_equals_scalar_bma_bitwise(seed, measure):
+    index = random_taxonomy(seed)
+    fn = semsim_score_fn(index, measure)
+    entities = list(index.annotations)
+    tails = entities + ["ghost", "ghost"] + entities[:5]
+    tails = [tails[i] for i in np.random.default_rng(seed).permutation(len(tails))]
+    for head in entities + ["ghost"]:
+        got = np.asarray(fn(head, "interacts", tails), dtype=np.float64)
+        expect = np.array([index.entity_similarity(head, t, measure) for t in tails])
+        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64), err_msg=head)
+
+
+def test_score_fn_rejects_unknown_measure_at_construction(chain):
+    with pytest.raises(SemSimError):
+        semsim_score_fn(chain, "cosine")
