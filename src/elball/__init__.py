@@ -8,7 +8,7 @@ semantic-similarity baselines (``evaluation``, ``semsim``).
 """
 
 from .embeddings import EmbeddingSet, TOP_RADIUS
-from .evaluation import LinkSplit, RankingReport, ranking_report, score
+from .evaluation import LinkSplit, RankingReport, ranking_report
 from .family import FAMILY_KB, family_ontology
 from .geometry import Ball, ModelReport, check_model, containment_violation, intersection_ball
 from .losses import LossBatch, batch_gradient, batch_loss
@@ -46,7 +46,6 @@ __all__ = [
     "normalize",
     "parse_ontology",
     "ranking_report",
-    "score",
     "train",
 ]
 

@@ -17,6 +17,17 @@ from .ontology import BOT_ID, TOP_ID
 TOP_RADIUS = float(np.finfo(np.float64).max)
 
 
+def table_views(flat: np.ndarray, n_classes: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Centers, radii and relation vectors as views into one buffer laid out
+    [centers | radii | relations]."""
+    at = n_classes * dim
+    return (
+        flat[:at].reshape(n_classes, dim),
+        flat[at : at + n_classes],
+        flat[at + n_classes :].reshape(-1, dim),
+    )
+
+
 @dataclass
 class EmbeddingSet:
     class_centers: np.ndarray  # (n_classes, dim)
@@ -36,6 +47,13 @@ class EmbeddingSet:
     @property
     def n_relations(self) -> int:
         return self.rel_vectors.shape[0]
+
+    def packed(self) -> tuple[np.ndarray, "EmbeddingSet"]:
+        """The tables copied into one buffer, and an EmbeddingSet of views into it."""
+        flat = np.concatenate(
+            [self.class_centers.ravel(), self.class_radii, self.rel_vectors.ravel()]
+        )
+        return flat, EmbeddingSet(*table_views(flat, self.n_classes, self.dim), self.top, self.bot)
 
     def copy(self) -> "EmbeddingSet":
         return EmbeddingSet(

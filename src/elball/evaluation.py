@@ -23,12 +23,6 @@ class EvaluationError(Exception):
     pass
 
 
-def score(e: EmbeddingSet, c: int, r: int, d: int, gamma: float) -> float:
-    """Plausibility of C < r some D: -max(0, ||f(c)+f(r)-f(d)|| - r(c) - r(d) - gamma)."""
-    gap = float(np.linalg.norm(e.class_centers[c] + e.rel_vectors[r] - e.class_centers[d]))
-    return -max(0.0, gap - float(e.class_radii[c]) - float(e.class_radii[d]) - gamma)
-
-
 def embedding_score_fn(
     e: EmbeddingSet,
     class_index: dict[Hashable, int],

@@ -1,13 +1,20 @@
 """Training losses for the seven normal forms plus corrupted negatives.
 
-Every loss is a sum of hinge terms over ball centers/radii plus unit-sphere
-normalization terms |  ||center|| - 1 | for each class operand. Each normal
-form's hinge terms are written once, as one residual table per form
-(``_residuals``); ``bucket_losses`` reads it forward and ``batch_gradient``
-reads it once for both the loss and the gradient. Subgradient convention at
-non-differentiable points: the zero side (hinges contribute nothing at the
-kink, the norm direction is zero at a zero vector, sign is zero exactly on
-the unit sphere).
+Every normal form is a few rows of one coefficient table (``_FORMS``). A
+row's hinge argument is
+
+    arg = s * ||c[a] + q * v[rel] - c[b]|| + k1 * r[h1] + k2 * r[h2] - s * gamma
+
+over class centers c, radii r and relation translations v, with hinge sign
+s (+1 containment, -1 disjointness), relation sign q and radius weights k,
+each +1, -1 or 0. A hinged row adds max(0, arg); Bot1 and Bot4 add their
+radius itself (s = 0, unhinged). Each class operand carries one unit-sphere
+term | ||c|| - 1 | through the rows' sphere flags. A batch is evaluated as
+that table in one pass: one gather of the operands' centers, one norm, one
+hinge; ``batch_gradient`` adds one ``np.bincount`` into a flat gradient.
+Subgradient convention at non-differentiable points: the zero side (hinges
+contribute nothing at the kink, the norm direction is zero at a zero
+vector, sign is zero exactly on the unit sphere).
 
 Top participates with its sentinel radius, its normalization term is
 skipped (its center is frozen and carries no unit-sphere constraint), and
@@ -16,11 +23,12 @@ it receives zero gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, table_views
 from .normalizer import NormalizedTheory
 
 
@@ -69,269 +77,233 @@ class LossBatch:
 
 @dataclass
 class Gradient:
-    """d batch_loss / d every trainable table (Top's rows zero), and the loss."""
+    """d batch_loss / d every trainable scalar (Top's zero), and the loss.
 
+    ``flat`` is laid out [centers | radii | relations], as the trainer's
+    parameter buffer; the three tables are views into it.
+    """
+
+    flat: np.ndarray
     class_centers: np.ndarray
     class_radii: np.ndarray
     rel_vectors: np.ndarray
     loss: float
 
 
-# --- the residual table --------------------------------------------------
+# --- the coefficient table ----------------------------------------------
 
+# Operands beyond a form's own columns: Top (a radius-only row measures Top
+# against itself, a zero vector) and NF2's smaller operand, the one of c, d
+# with the smaller radius, a tie going to r(c).
+_TOP, _SMALLER = -1, -2
 
-@dataclass
-class _Term:
-    """One term of a normal form's loss, over that form's rows in the batch.
-
-    A hinge term is max(0, arg) with arg = sign * (||u|| - gamma) +
-    sum(k * radius[h] for h, k in radii) and u = center[a] + rel_sign *
-    rel[r] - center[b], where a and b are positions in the form's class
-    operands; d arg / d u = sign * u / ||u||. A term without a distance
-    (a None) has arg = sum(k * radius[h]) - gamma. Bot1 and Bot4 add the
-    radius itself, unhinged. Every sign and k is +1 or -1.
-    """
-
-    arg: np.ndarray
-    radii: tuple
-    a: int | None = None
-    b: int | None = None
-    u: np.ndarray | None = None
-    norm: np.ndarray | None = None  # ||u||, shape (rows, 1)
-    sign: int = 1
-    r: np.ndarray | None = None
-    rel_sign: int = 0
-    hinged: bool = True
-
-    def value(self) -> np.ndarray:
-        return np.maximum(0.0, self.arg) if self.hinged else self.arg
-
-    def weight(self) -> np.ndarray:
-        return (self.arg > 0).astype(np.float64) if self.hinged else np.ones_like(self.arg)
-
-
-def _norm(u: np.ndarray) -> np.ndarray:
-    """Row norms, shape (rows, 1); the arithmetic of np.linalg.norm(axis=-1)."""
-    return np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
-
-
-def _unit(u: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """u / ||u||, zero where u is."""
-    return u / np.where(norm > 0, norm, 1.0)
-
-
-def _hinge(e, gamma, radii, ops=None, a=0, b=1, r=None, rel_sign=0, sign=1) -> _Term:
-    term = _Term(None, radii, sign=sign, r=r, rel_sign=rel_sign)
-    parts = [(e.class_radii[h], k) for h, k in radii]
-    if ops is not None:
-        term.a, term.b = a, b
-        u = e.class_centers[ops[a]]
-        if r is not None:
-            u = u + e.rel_vectors[r] if rel_sign > 0 else u - e.rel_vectors[r]
-        term.u = u - e.class_centers[ops[b]]
-        term.norm = _norm(term.u)
-        # summed in the printed objectives' order, which the loss values keep
-        # to the last bit: the distance leads a containment hinge and trails
-        # a disjointness hinge
-        parts.insert(0 if sign > 0 else len(parts), (term.norm[:, 0], sign))
-    arg = parts[0][0]  # every form's leading part enters with +1
-    for x, k in parts[1:]:
-        arg = arg + x if k > 0 else arg - x
-    term.arg = arg - gamma if sign > 0 else arg + gamma
-    return term
-
-
-# bucket key, LossBatch field, class columns, relation column
-_LAYOUT = (
-    ("NF1", "nf1", (0, 1), None),
-    ("NF2", "nf2", (0, 1, 2), None),
-    ("NF3", "nf3", (0, 2), 1),
-    ("NF4", "nf4", (1, 2), 0),
-    ("Bot1", "bot1", (0,), None),
-    ("Bot2", "bot2", (0, 1), None),
-    ("Bot4", "bot4", (1,), 0),
-    ("neg", "neg", (0, 2), 1),
+# bucket, LossBatch field, handle columns ("c" class, "r" relation), rows.
+# A row is (a, b, q, s, ((h1, k1), (h2, k2)), (sphere a, sphere b)), where
+# a, b, h1 and h2 are column numbers and q applies the form's relation.
+_FORMS = (
+    ("NF1", "nf1", "cc", [(0, 1, 0, 1, ((0, 1), (1, -1)), (1, 1))]),
+    (
+        "NF2",
+        "nf2",
+        "ccc",
+        [
+            (0, 1, 0, 1, ((0, -1), (1, -1)), (1, 1)),
+            (0, 2, 0, 1, ((0, -1), (0, 0)), (0, 1)),
+            # the printed objective reuses r(c), not r(d), in the third term
+            (1, 2, 0, 1, ((0, -1), (0, 0)), (0, 0)),
+            (_TOP, _TOP, 0, 1, ((_SMALLER, 1), (2, -1)), (0, 0)),
+        ],
+    ),
+    ("NF3", "nf3", "crc", [(0, 2, 1, 1, ((0, 1), (2, -1)), (1, 1))]),
+    ("NF4", "nf4", "rcc", [(1, 2, -1, 1, ((1, -1), (2, -1)), (1, 1))]),
+    ("Bot1", "bot1", "c", [(_TOP, _TOP, 0, 0, ((0, 1), (0, 0)), (0, 0))]),
+    ("Bot2", "bot2", "cc", [(0, 1, 0, -1, ((0, 1), (1, 1)), (1, 1))]),
+    # the relation is checked but does not enter the loss
+    ("Bot4", "bot4", "rc", [(_TOP, _TOP, 0, 0, ((1, 1), (1, 0)), (0, 0))]),
+    ("neg", "neg", "crc", [(0, 2, 1, -1, ((0, 1), (2, 1)), (1, 1))]),
 )
+# forms that add their relation come first, then those that subtract it,
+# so the table's relation rows are a prefix of it, in two runs
+_TABLE_ORDER = sorted(range(len(_FORMS)), key=lambda i: {1: 0, -1: 1, 0: 2}[_FORMS[i][3][0][2]])
 
 
-def _check_symbols(e: EmbeddingSet, classes: list, relations: list) -> None:
-    for handles, n, kind in ((classes, e.n_classes, "class"), (relations, e.n_relations, "relation")):
-        flat = np.concatenate(handles) if handles else _empty(1)
-        if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= n):
-            raise MissingSymbolError(f"{kind} handle outside the embedding table [0, {n})")
+@dataclass(frozen=True)
+class _Plan:
+    """Where each table column comes from in a batch's handle vector: the
+    nonempty buckets' rows flattened in ``_FORMS`` order, then Top."""
+
+    is_rel: np.ndarray  # per handle: a relation handle, else a class handle
+    abr: np.ndarray  # handle positions of every row's operand a, then of b, then the relations
+    m_plus: int  # relation rows that add their relation; the rest subtract it
+    h: np.ndarray  # positions of every row's radius handle h1, then h2
+    k: np.ndarray  # their weights
+    s: np.ndarray  # hinge signs
+    floor: np.ndarray  # 0 under a hinge, -inf for an unhinged row
+    sphere: np.ndarray  # unit-sphere flags of a, then b
+    smaller: np.ndarray  # slots of h holding NF2's smaller operand (c until chosen)
+    smaller_d: np.ndarray  # positions of the d each is compared with
+    starts: np.ndarray  # first row of each nonempty form
+    order: np.ndarray  # those forms from table order into bucket order
+    names: tuple  # the nonempty buckets, in bucket order
 
 
-def _residuals(batch: LossBatch, e: EmbeddingSet) -> list[tuple[str, list, list[_Term]]]:
-    """Per nonempty form, in bucket order: (bucket, class operands, terms).
-
-    The class operands are the handle columns that carry a unit-sphere
-    term. Raises MissingSymbolError for any handle outside its table.
-    """
-    rows = {}
-    for bucket, name, classes, rel in _LAYOUT:
-        b = getattr(batch, name)
-        if b.size:
-            b = b.reshape(len(b), -1)
-            rows[bucket] = [b[:, i] for i in classes], None if rel is None else b[:, rel]
-    _check_symbols(
-        e,
-        [h for classes, _ in rows.values() for h in classes],
-        [r for _, r in rows.values() if r is not None],
-    )
-
-    g = batch.gamma
-    out = []
-    for bucket, (classes, r) in rows.items():
-        c, d = classes[0], classes[-1]
-        if bucket == "NF1":
-            terms = [_hinge(e, g, ((c, 1), (d, -1)), classes)]
-        elif bucket == "NF2":
-            d, x = classes[1], classes[2]
-            smaller = np.where(e.class_radii[c] <= e.class_radii[d], c, d)  # a tie goes to r(c)
-            terms = [
-                _hinge(e, g, ((c, -1), (d, -1)), classes),
-                _hinge(e, g, ((c, -1),), classes, 0, 2),
-                # the printed objective reuses r(c), not r(d), in the third term
-                _hinge(e, g, ((c, -1),), classes, 1, 2),
-                _hinge(e, g, ((smaller, 1), (x, -1))),
-            ]
-        elif bucket == "NF3":
-            terms = [_hinge(e, g, ((c, 1), (d, -1)), classes, r=r, rel_sign=1)]
-        elif bucket == "NF4":
-            terms = [_hinge(e, g, ((c, -1), (d, -1)), classes, r=r, rel_sign=-1)]
-        elif bucket == "Bot2":
-            terms = [_hinge(e, g, ((c, 1), (d, 1)), classes, sign=-1)]
-        elif bucket == "neg":
-            terms = [_hinge(e, g, ((c, 1), (d, 1)), classes, r=r, rel_sign=1, sign=-1)]
-        else:  # Bot1, Bot4: the radius itself, with no unit-sphere term
-            out.append((bucket, [], [_Term(e.class_radii[c], ((c, 1),), hinged=False)]))
+@functools.lru_cache(maxsize=64)
+def _plan(sizes: tuple) -> _Plan:
+    """The plan of a batch whose buckets hold ``sizes`` rows, in ``_FORMS`` order."""
+    offsets = np.cumsum([0] + [n * len(form[2]) for n, form in zip(sizes, _FORMS)])
+    top = int(offsets[-1])
+    is_rel = np.zeros(top + 1, dtype=bool)
+    keys = ("a", "b", "rel", "h1", "k1", "h2", "k2", "s", "fa", "fb", "smaller", "smaller_d")
+    cols = {key: [] for key in keys}
+    starts, blocks = [], []
+    n_rows = m_plus = 0
+    for i in _TABLE_ORDER:
+        _, _, spec, rows = _FORMS[i]
+        n = sizes[i]
+        if not n:
             continue
-        out.append((bucket, classes, terms))
-    return out
+        base = offsets[i] + len(spec) * np.arange(n)
+        for j, kind in enumerate(spec):
+            is_rel[base + j] = kind == "r"
+        starts.append(n_rows)
+        blocks.append(i)
+
+        def at(col):
+            return np.full(n, top) if col == _TOP else base + max(col, 0)
+
+        for a, b, q, s, ((h1, k1), (h2, k2)), (fa, fb) in rows:
+            if h1 == _SMALLER:
+                cols["smaller"].append(n_rows + np.arange(n))
+                cols["smaller_d"].append(base + 1)
+            if q:
+                cols["rel"].append(base + spec.index("r"))
+                m_plus += n if q > 0 else 0
+            for key, col in (("a", a), ("b", b), ("h1", h1), ("h2", h2)):
+                cols[key].append(at(col))
+            for key, value in (("k1", k1), ("k2", k2), ("s", s), ("fa", fa), ("fb", fb)):
+                cols[key].append(np.full(n, float(value)))
+            n_rows += n
+
+    def cat(*keys, dtype=np.intp):
+        return np.concatenate([x for key in keys for x in cols[key]] or [[]]).astype(dtype)
+
+    s = cat("s", dtype=float)
+    plan = _Plan(
+        is_rel=is_rel,
+        abr=cat("a", "b", "rel"),
+        m_plus=m_plus,
+        h=cat("h1", "h2"),
+        k=cat("k1", "k2", dtype=float),
+        s=s,
+        floor=np.where(s != 0, 0.0, -np.inf),
+        sphere=cat("fa", "fb", dtype=float),
+        smaller=cat("smaller"),
+        smaller_d=cat("smaller_d"),
+        starts=np.asarray(starts, dtype=np.intp),
+        order=np.argsort(blocks),
+        names=tuple(_FORMS[i][0] for i in sorted(blocks)),
+    )
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
 
 
-def _losses(res, e: EmbeddingSet):
-    """Per-bucket loss, and the class operands' handles, centers and norms."""
-    handles = [h for _, operands, _ in res for h in operands]
-    ops = np.concatenate(handles) if handles else _empty(1)
-    centers = e.class_centers[ops]
-    norms = _norm(centers)
-    pens = np.where(ops == e.top, 0.0, np.abs(norms[:, 0] - 1.0))
-    out, at = {}, 0
-    for bucket, operands, terms in res:
-        value = terms[0].value()
-        for t in terms[1:]:
-            value = value + t.value()
-        norm = None
-        for h in operands:
-            pen = pens[at : at + len(h)]
-            norm = pen if norm is None else norm + pen
-            at += len(h)
-        out[bucket] = float((value if norm is None else value + norm).sum())
-    return out, (ops, centers, norms)
+def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
+    """Per-bucket losses and, if asked, the flat gradient, in one pass.
+
+    Raises MissingSymbolError for any handle outside its table.
+    """
+    buckets = [getattr(batch, form[1]) for form in _FORMS]
+    plan = _plan(tuple(len(b) for b in buckets))
+    handles = np.concatenate([b.ravel() for b in buckets if len(b)] + [[e.top]], dtype=np.intp)
+    if handles.size != plan.is_rel.size:
+        raise ValueError("a LossBatch bucket does not have its normal form's width")
+    # a negative handle reads as a huge unsigned one
+    limit = np.where(plan.is_rel, np.uintp(e.n_relations), np.uintp(e.n_classes))
+    bad = handles.view(np.uintp) >= limit
+    if bad.any():
+        i = int(bad.argmax())
+        kind, n = ("relation", e.n_relations) if plan.is_rel[i] else ("class", e.n_classes)
+        raise MissingSymbolError(f"{kind} handle {handles[i]} outside the embedding table [0, {n})")
+
+    nc, dim = e.n_classes, e.dim
+    size = nc * dim + nc + e.n_relations * dim
+    n = len(plan.s)
+    if not n:
+        return {}, np.zeros(size)
+
+    # y holds every row's u = c[a] + q * v[rel] - c[b], then c[a], then c[b]
+    abr = handles[plan.abr]
+    ab, rel = abr[: 2 * n], abr[2 * n :]
+    m1, m = plan.m_plus, len(rel)
+    y = np.empty((3 * n, dim))
+    np.take(e.class_centers, ab, axis=0, out=y[n:], mode="clip")
+    u = y[:n]
+    np.subtract(y[n : 2 * n], y[2 * n :], out=u)
+    if m1:
+        u[:m1] += e.rel_vectors[rel[:m1]]
+    if m > m1:
+        u[m1:m] -= e.rel_vectors[rel[m1:]]
+    norm = np.sqrt(np.einsum("ij,ij->i", y, y))
+
+    h = handles[plan.h]
+    if plan.smaller.size:
+        c, d = h[plan.smaller], handles[plan.smaller_d]
+        h[plan.smaller] = np.where(e.class_radii[c] <= e.class_radii[d], c, d)
+    kr = plan.k * e.class_radii[h]
+    arg = plan.s * norm[:n]
+    arg += kr[:n]
+    arg += kr[n:]
+    arg -= plan.s * batch.gamma
+
+    sphere = plan.sphere * (ab != e.top)
+    pen = sphere * np.abs(norm[n:] - 1.0)
+    value = np.maximum(arg, plan.floor) + pen[:n] + pen[n:]
+    per_bucket = dict(zip(plan.names, np.add.reduceat(value, plan.starts)[plan.order].tolist()))
+    if not gradient:
+        return per_bucket, None
+
+    # coef scales each row of y: by s * w / ||u|| into the hinge's pull
+    # d arg / d u, by sign(||c|| - 1) / ||c|| into a sphere term's pull on c.
+    # u's pull goes + to c[a], - to c[b] and q to the relation.
+    w = (arg > plan.floor).astype(np.float64)
+    coef = np.concatenate([w * plan.s, sphere * np.sign(norm[n:] - 1.0)])
+    coef /= np.where(norm > 0, norm, 1.0)
+    g = y * coef[:, None]
+    rows = 2 * n + m
+    weights = np.empty(rows * dim + 2 * n)
+    pulls = weights[: rows * dim].reshape(rows, dim)
+    np.add(g[n : 2 * n], g[:n], out=pulls[:n])
+    np.subtract(g[2 * n :], g[:n], out=pulls[n : 2 * n])
+    pulls[2 * n : 2 * n + m1] = g[:m1]
+    np.negative(g[m1:m], out=pulls[2 * n + m1 :])
+    np.multiply(plan.k.reshape(2, n), w, out=weights[rows * dim :].reshape(2, n))
+
+    first = abr * dim  # each scattered row's first flat position
+    first[2 * n :] += nc * dim + nc
+    idx = np.empty(weights.size, dtype=np.intp)
+    np.add(first[:, None], np.arange(dim), out=idx[: rows * dim].reshape(rows, dim))
+    np.add(h, nc * dim, out=idx[rows * dim :])
+    flat = np.bincount(idx, weights, minlength=size)
+    flat[e.top * dim : (e.top + 1) * dim] = 0.0
+    flat[nc * dim + e.top] = 0.0
+    return per_bucket, flat
 
 
 def bucket_losses(batch: LossBatch, e: EmbeddingSet) -> dict[str, float]:
-    return _losses(_residuals(batch, e), e)[0]
+    return _table(batch, e, gradient=False)[0]
 
 
 def batch_loss(batch: LossBatch, e: EmbeddingSet) -> float:
     return float(sum(bucket_losses(batch, e).values()))
 
 
-def _scatter(idx: list, rows: list, shape: tuple) -> np.ndarray:
-    """Sum rows into a zero table of ``shape`` at their handles, in list order."""
-    if not idx:
-        return np.zeros(shape)
-    idx, rows = np.concatenate(idx), np.concatenate(rows)
-    if len(shape) == 1:
-        return np.bincount(idx, weights=rows, minlength=shape[0])
-    flat = (idx[:, None] * shape[1] + np.arange(shape[1])).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
-
-
 def batch_gradient(batch: LossBatch, e: EmbeddingSet) -> Gradient:
     """Gradient of batch_loss w.r.t. every trainable scalar, and the loss itself.
 
-    One pass over the residual table; each gradient table is one scatter.
-    Top gets zero gradient.
+    One pass over the coefficient table and one scatter. Top gets zero
+    gradient.
     """
-    res = _residuals(batch, e)
-    per_bucket, (ops, centers, norms) = _losses(res, e)
-    sphere = np.sign(norms - 1.0) * _unit(centers, norms)
-    c_idx, c_rows, r_idx, r_rows, v_idx, v_rows = [], [], [], [], [], []
-    at = 0
-    for _, operands, terms in res:
-        pulls = [None] * len(operands)  # per class operand, summed over the terms
-        for t in terms:
-            w = t.weight()
-            for h, k in t.radii:
-                r_idx.append(h)
-                r_rows.append(w if k > 0 else -w)
-            if t.u is not None:
-                wd = w[:, None] * _unit(t.u, t.norm)
-                pa, pb = (wd, -wd) if t.sign > 0 else (-wd, wd)
-                for i, p in ((t.a, pa), (t.b, pb)):
-                    pulls[i] = p if pulls[i] is None else pulls[i] + p
-                if t.r is not None:
-                    v_idx.append(t.r)
-                    v_rows.append(pa if t.rel_sign > 0 else pb)
-        for h, p in zip(operands, pulls):
-            if p is not None:
-                c_idx.append(h)
-                c_rows.append(p)
-        for h in operands:
-            c_idx.append(h)
-            c_rows.append(sphere[at : at + len(h)])
-            at += len(h)
-
-    g = Gradient(
-        _scatter(c_idx, c_rows, e.class_centers.shape),
-        _scatter(r_idx, r_rows, e.class_radii.shape),
-        _scatter(v_idx, v_rows, e.rel_vectors.shape),
-        float(sum(per_bucket.values())),
-    )
-    g.class_centers[e.top] = 0.0
-    g.class_radii[e.top] = 0.0
-    return g
-
-
-# --- scalar ops ----------------------------------------------------------
-
-
-def _one(e, bucket: str, row, gamma: float = 0.0) -> float:
-    batch = LossBatch(gamma, **{bucket: np.asarray([row], dtype=np.intp)})
-    return batch_loss(batch, e)
-
-
-def loss_nf1(e, c, d, gamma):
-    return _one(e, "nf1", (c, d), gamma)
-
-
-def loss_nf2(e, c, d, ee, gamma):
-    return _one(e, "nf2", (c, d, ee), gamma)
-
-
-def loss_nf3(e, c, d, r, gamma):
-    return _one(e, "nf3", (c, r, d), gamma)
-
-
-def loss_nf4(e, c, d, r, gamma):
-    return _one(e, "nf4", (r, c, d), gamma)
-
-
-def loss_bot1(e, c):
-    return _one(e, "bot1", c)
-
-
-def loss_bot2(e, c, d, gamma):
-    return _one(e, "bot2", (c, d), gamma)
-
-
-def loss_bot4(e, c, r=None):
-    # the relation argument does not enter the loss at all
-    return loss_bot1(e, c)
-
-
-def loss_neg(e, c, d, r, gamma):
-    return _one(e, "neg", (c, r, d), gamma)
+    per_bucket, flat = _table(batch, e, gradient=True)
+    return Gradient(flat, *table_views(flat, e.n_classes, e.dim), float(sum(per_bucket.values())))

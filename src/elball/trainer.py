@@ -2,9 +2,11 @@
 
 One epoch samples a minibatch (with replacement) from every nonempty
 axiom bucket, takes an Adam step on the summed gradient, clamps all radii
-to be non-negative, and restores Top's frozen parameters. Everything is
-driven by a single seeded generator, so a (theory, config) pair maps to a
-bitwise-reproducible embedding.
+to be non-negative, and restores Top's frozen parameters. Centers, radii
+and relation vectors are views into one flat parameter buffer, so a step
+is one Adam pass over it. Everything is driven by a single seeded
+generator, so a (theory, config) pair maps to a bitwise-reproducible
+embedding.
 """
 
 from __future__ import annotations
@@ -155,15 +157,12 @@ def generate_negatives(
     return negatives, skipped
 
 
-_BUCKETS = ("nf1", "nf2", "nf3", "nf4", "bot1", "bot2", "bot4")
-
-
 def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, LossTrace]:
     """Run the full training loop and return (embeddings, loss trace)."""
     if theory.n_axioms() == 0:
         raise TrainingError("cannot train on an empty theory")
 
-    e = init_embeddings(theory, cfg)
+    theta, e = init_embeddings(theory, cfg).packed()
     top_center = e.class_centers[e.top].copy()
     rng = np.random.default_rng([cfg.seed, 1])
     optimizer = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
@@ -173,16 +172,6 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     candidates = [
         cid for cid in range(len(theory.classes)) if cid not in (e.top, e.bot)
     ]
-
-    arrays = {
-        "nf1": np.asarray(theory.nf1, dtype=np.intp).reshape(-1, 2),
-        "nf2": np.asarray(theory.nf2, dtype=np.intp).reshape(-1, 3),
-        "nf3": np.asarray(theory.nf3, dtype=np.intp).reshape(-1, 3),
-        "nf4": np.asarray(theory.nf4, dtype=np.intp).reshape(-1, 3),
-        "bot1": np.asarray(theory.bot1, dtype=np.intp),
-        "bot2": np.asarray(theory.bot2, dtype=np.intp).reshape(-1, 2),
-        "bot4": np.asarray(theory.bot4, dtype=np.intp).reshape(-1, 2),
-    }
 
     # only corrupt positives whose class slots are both ordinary classes;
     # a negative keeping Top would inherit its unbounded radius
@@ -200,21 +189,24 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     neg_array = make_negatives() if corruptible else np.zeros((0, 3), dtype=np.intp)
 
     full_batch = LossBatch.from_theory(theory, cfg.margin)
+    # minibatches draw from the theory's buckets in LossBatch order, then the negatives
+    pools = [
+        (name, getattr(full_batch, name))
+        for name in ("nf1", "nf2", "nf3", "nf4", "bot1", "bot2", "bot4")
+    ]
 
     for epoch in range(cfg.epochs):
         if cfg.neg_mode == "fresh" and corruptible:
             neg_array = make_negatives()
         epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
-            batch = LossBatch(gamma=cfg.margin)
-            for name in _BUCKETS:
-                bucket = arrays[name]
-                if len(bucket):
-                    pick = rng.integers(len(bucket), size=cfg.batch_size)
-                    setattr(batch, name, bucket[pick])
-            if len(neg_array):
-                pick = rng.integers(len(neg_array), size=cfg.batch_size)
-                batch.neg = neg_array[pick]
+            batch = LossBatch(
+                cfg.margin,
+                **{
+                    name: rows[rng.integers(len(rows), size=cfg.batch_size)] if len(rows) else rows
+                    for name, rows in (*pools, ("neg", neg_array))
+                },
+            )
 
             grads = batch_gradient(batch, e)
             if not np.isfinite(grads.loss):
@@ -227,18 +219,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
                 )
             epoch_loss = grads.loss
 
-            optimizer.step(
-                {
-                    "class_centers": e.class_centers,
-                    "class_radii": e.class_radii,
-                    "rel_vectors": e.rel_vectors,
-                },
-                {
-                    "class_centers": grads.class_centers,
-                    "class_radii": grads.class_radii,
-                    "rel_vectors": grads.rel_vectors,
-                },
-            )
+            optimizer.step({"params": theta}, {"params": grads.flat})
             # project radii back onto the feasible set and re-freeze Top
             np.maximum(e.class_radii, 0.0, out=e.class_radii)
             e.class_centers[e.top] = top_center

@@ -6,6 +6,9 @@ agreement with finite differences, normalizer goldens plus an independent
 subsumption oracle, ranking-metric agreement with a brute-force oracle,
 scaled link-prediction sanity on a synthetic interaction dataset,
 bitwise determinism, and the semantic-similarity baseline beating chance.
+Two known defects are pinned as strict xfails: a verified model that
+violates an entailed subsumption (NF4), and the embedding trailing the
+Resnik baseline it should beat.
 """
 
 import sys
@@ -26,7 +29,7 @@ from elball.evaluation import (
     ranking_report,
 )
 from elball.family import family_ontology
-from elball.geometry import check_model
+from elball.geometry import Ball, check_model, containment_violation
 from elball.losses import LossBatch, batch_gradient, batch_loss
 from elball.normalizer import (
     NormalizedTheory,
@@ -411,4 +414,57 @@ def test_semsim_baseline_beats_chance(synthetic_setup):
         "Resnik best-match-average ranking beats chance on the synthetic dataset",
         result.filtered_auc > 0.5,
         f"filtered AUC {result.filtered_auc:.3f}",
+    )
+
+
+# --- known defects, pinned as strict xfails --------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="NF4 soundness: check_model treats NF4 as informational and the NF4 loss is the "
+    "overlap hinge, so a verified model can leave A outside D although A < D is entailed",
+)
+def test_verified_model_satisfies_entailed_subsumptions():
+    onto = parse_ontology("A < r some C\nr some C < D\nB < D\n")
+    theory = normalize(onto)
+    ids = [theory.classes.id(name) for name in "ABCD"]
+    entailed = atomic_subsumptions(onto, ids) - {(c, c) for c in ids}
+    told = set(theory.nf1)
+    for seed in range(10):
+        cfg = TrainConfig(dim=2, margin=0.0, epochs=3000, batch_size=8, seed=seed)
+        e, _ = train(theory, cfg)
+        if not check_model(theory, e, tol=0.1).overall:
+            continue
+        for c, d in entailed:
+            # A < D takes two axioms to derive; the told B < D takes one
+            length = 1 if (c, d) in told else 2
+            inner = Ball(e.class_centers[c], float(e.class_radii[c]))
+            outer = Ball(e.class_centers[d], float(e.class_radii[d]))
+            violation = containment_violation(inner, outer)
+            assert violation <= 0.1 * length, (
+                f"seed {seed}: verified model violates entailed "
+                f"{theory.classes.name(c)} < {theory.classes.name(d)} by {violation:.3f}"
+            )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the embedding trails the Resnik BMA baseline the paper says it beats "
+    "(filtered AUC 0.766 vs 0.867 on this fixture)",
+)
+def test_embedding_beats_resnik(synthetic_setup):
+    ds, theory, split, cls_idx, rel_idx = synthetic_setup
+    cfg = TrainConfig(**SYNTH_CFG)
+    e, _ = train(theory, cfg)
+    embedding = ranking_report(split, embedding_score_fn(e, cls_idx, rel_idx, cfg.margin))
+    annotations = {}
+    for entity, cls in ds.annotation_rows:
+        annotations.setdefault(entity, set()).add(cls)
+    index = build_taxonomy(ds.taxonomy_edges, annotations, root="Function")
+    resnik = ranking_report(split, semsim_score_fn(index, "resnik"))
+    assert embedding.filtered_auc >= resnik.filtered_auc, (
+        f"embedding {embedding.filtered_auc:.3f} < Resnik {resnik.filtered_auc:.3f}"
     )

@@ -9,7 +9,6 @@ from elball.evaluation import (
     embedding_score_fn,
     rank_query,
     ranking_report,
-    score,
 )
 
 
@@ -21,6 +20,14 @@ def embed(centers, radii, rels):
     )
     e.class_radii[e.top] = TOP_RADIUS
     return e
+
+
+def score(e, c, r, d, gamma):
+    """The embedding score of one triple, through embedding_score_fn over handles."""
+    fn = embedding_score_fn(
+        e, {i: i for i in range(e.n_classes)}, {i: i for i in range(e.n_relations)}, gamma
+    )
+    return float(fn(c, r, [d])[0])
 
 
 class TestScore:
@@ -48,7 +55,12 @@ class TestScore:
         names = {f"C{i}": i for i in range(6)}
         fn = embedding_score_fn(e, names, {"r": 0}, gamma=0.05)
         got = fn("C2", "r", ["C3", "C4", "C5"])
-        want = [score(e, 2, 0, d, 0.05) for d in (3, 4, 5)]
+
+        def printed(d):  # -max(0, ||f(c) + f(r) - f(d)|| - r(c) - r(d) - gamma)
+            gap = np.linalg.norm(e.class_centers[2] + e.rel_vectors[0] - e.class_centers[d])
+            return -max(0.0, gap - e.class_radii[2] - e.class_radii[d] - 0.05)
+
+        want = [printed(d) for d in (3, 4, 5)]
         assert np.allclose(got, want)
 
     def test_missing_symbol(self):

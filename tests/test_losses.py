@@ -5,21 +5,7 @@ import pytest
 
 import loss_reference as ref
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
-from elball.losses import (
-    LossBatch,
-    MissingSymbolError,
-    batch_gradient,
-    batch_loss,
-    bucket_losses,
-    loss_bot1,
-    loss_bot2,
-    loss_bot4,
-    loss_neg,
-    loss_nf1,
-    loss_nf2,
-    loss_nf3,
-    loss_nf4,
-)
+from elball.losses import LossBatch, MissingSymbolError, batch_gradient, batch_loss, bucket_losses
 
 C, D, E = 2, 3, 4
 R = 0
@@ -38,6 +24,11 @@ def embed(centers, radii, rels=None):
     return e
 
 
+def one(e, bucket, row, gamma=0.0):
+    """batch_loss of a batch holding one row of one bucket; row layouts as in LossBatch."""
+    return batch_loss(LossBatch(gamma, **{bucket: np.asarray([row], dtype=np.intp)}), e)
+
+
 def embed3(c, rc, d, rd, e_center=(1, 0), re_=0.0, rel=(0, 0)):
     centers = [(1, 0), (1, 0), c, d, e_center]
     radii = [0, 0, rc, rd, re_]
@@ -47,85 +38,85 @@ def embed3(c, rc, d, rd, e_center=(1, 0), re_=0.0, rel=(0, 0)):
 class TestScalarValues:
     def test_nf1_contained_zero(self):
         e = embed3((1, 0), 0.3, (1, 0), 0.5)
-        assert loss_nf1(e, C, D, 0.0) == 0.0
+        assert one(e, "nf1", (C, D), 0.0) == 0.0
 
     def test_nf1_offset(self):
         e = embed3((0, 1), 0.5, (1, 0), 0.3)
-        assert loss_nf1(e, C, D, 0.0) == pytest.approx(SQRT2 + 0.2)
+        assert one(e, "nf1", (C, D), 0.0) == pytest.approx(SQRT2 + 0.2)
 
     def test_nf1_norm_terms_only(self):
         e = embed3((2, 0), 0.1, (2, 0), 0.5)
-        assert loss_nf1(e, C, D, 0.0) == pytest.approx(2.0)
+        assert one(e, "nf1", (C, D), 0.0) == pytest.approx(2.0)
 
     def test_nf2_identical_balls(self):
         e = embed3((1, 0), 0.5, (1, 0), 0.5, e_center=(1, 0), re_=0.5)
-        assert loss_nf2(e, C, D, E, 0.0) == 0.0
+        assert one(e, "nf2", (C, D, E), 0.0) == 0.0
 
     def test_nf2_term_by_term(self):
         e = embed3((1, 0), 0.1, (-1, 0), 0.1, e_center=(1, 0), re_=0.1)
         # printed max terms: 1.8 (disjoint operands) + 0 + 1.9 + 0
-        assert loss_nf2(e, C, D, E, 0.0) == pytest.approx(3.7)
+        assert one(e, "nf2", (C, D, E), 0.0) == pytest.approx(3.7)
 
     def test_nf2_disjoint_only_violation(self):
         e = embed3((1, 0), 0.1, (0, 1), 0.1, e_center=(1, 0), re_=0.2)
         expected = (SQRT2 - 0.2) + 0.0 + (SQRT2 - 0.1) + 0.0
-        assert loss_nf2(e, C, D, E, 0.0) == pytest.approx(expected)
+        assert one(e, "nf2", (C, D, E), 0.0) == pytest.approx(expected)
 
     def test_nf3_exact_translation(self):
         e = embed3((0, 1), 0.1, (1, 0), 0.1, rel=(1, -1))
-        assert loss_nf3(e, C, D, R, 0.0) == 0.0
+        assert one(e, "nf3", (C, R, D), 0.0) == 0.0
 
     def test_nf3_radius_excess(self):
         e = embed3((0, 1), 0.3, (0, 1), 0.1, rel=(0, 0))
-        assert loss_nf3(e, C, D, R, 0.0) == pytest.approx(0.2)
+        assert one(e, "nf3", (C, R, D), 0.0) == pytest.approx(0.2)
 
     def test_nf3_negative_margin(self):
         e = embed3((0, 1), 0.1, (1, 0), 0.1, rel=(1, -1))
-        assert loss_nf3(e, C, D, R, -0.1) == pytest.approx(0.1)
+        assert one(e, "nf3", (C, R, D), -0.1) == pytest.approx(0.1)
 
     def test_nf4_translated_back_match(self):
         e = embed3((1, 0), 0.1, (0, 1), 0.1, rel=(1, -1))
-        assert loss_nf4(e, C, D, R, 0.0) == 0.0
+        assert one(e, "nf4", (R, C, D), 0.0) == 0.0
 
     def test_nf4_unit_gap(self):
         e = embed3((1, 0), 0.1, (0.5, math.sqrt(3) / 2), 0.1, rel=(0, 0))
-        assert loss_nf4(e, C, D, R, 0.0) == pytest.approx(0.8)
+        assert one(e, "nf4", (R, C, D), 0.0) == pytest.approx(0.8)
 
     def test_bot2_distant(self):
         e = embed3((1, 0), 0.1, (0, 1), 0.1)
-        assert loss_bot2(e, C, D, 0.0) == 0.0
+        assert one(e, "bot2", (C, D), 0.0) == 0.0
 
     def test_bot2_coincident(self):
         e = embed3((1, 0), 0.6, (1, 0), 0.6)
-        assert loss_bot2(e, C, D, 0.0) == pytest.approx(1.2)
-        assert loss_bot2(e, C, D, 0.1) == pytest.approx(1.3)
+        assert one(e, "bot2", (C, D), 0.0) == pytest.approx(1.2)
+        assert one(e, "bot2", (C, D), 0.1) == pytest.approx(1.3)
 
     def test_bot1_is_radius(self):
         e = embed3((1, 0), 0.0, (1, 0), 0.0)
-        assert loss_bot1(e, C) == 0.0
+        assert one(e, "bot1", C) == 0.0
         e.class_radii[C] = 0.7
-        assert loss_bot1(e, C) == pytest.approx(0.7)
+        assert one(e, "bot1", C) == pytest.approx(0.7)
 
     def test_bot4_ignores_relation(self):
-        e = embed3((1, 0), 0.7, (1, 0), 0.0)
-        assert loss_bot4(e, C) == pytest.approx(0.7)
-        assert loss_bot4(e, C, R) == loss_bot4(e, C)
+        e = embed3((1, 0), 0.7, (1, 0), 0.0, rel=(3, -2))
+        assert one(e, "bot4", (R, C)) == pytest.approx(0.7)
+        assert one(e, "bot4", (R, C)) == one(e, "bot1", C)
 
     def test_neg_far_apart(self):
         e = embed3((1, 0), 0.1, (-1, 0), 0.1, rel=(0, 0))
-        assert loss_neg(e, C, D, R, 0.0) == 0.0
+        assert one(e, "neg", (C, R, D), 0.0) == 0.0
 
     def test_neg_coincident(self):
         e = embed3((1, 0), 0.1, (1, 0), 0.1, rel=(0, 0))
-        assert loss_neg(e, C, D, R, 0.0) == pytest.approx(0.2)
-        assert loss_neg(e, C, D, R, -0.1) == pytest.approx(0.1)
+        assert one(e, "neg", (C, R, D), 0.0) == pytest.approx(0.2)
+        assert one(e, "neg", (C, R, D), -0.1) == pytest.approx(0.1)
 
     def test_missing_symbol(self):
         e = embed3((1, 0), 0.1, (1, 0), 0.1)
         with pytest.raises(MissingSymbolError):
-            loss_nf1(e, C, 99, 0.0)
+            one(e, "nf1", (C, 99), 0.0)
         with pytest.raises(MissingSymbolError):
-            loss_nf3(e, C, D, 5, 0.0)
+            one(e, "nf3", (C, 5, D), 0.0)
 
 
 class TestLossProperties:
@@ -133,12 +124,12 @@ class TestLossProperties:
         for _ in range(100):
             e = embed(rng.normal(0, 1, (5, 2)), rng.uniform(0, 1, 5), rng.normal(0, 1, (1, 2)))
             g = rng.uniform(-0.1, 0.1)
-            assert loss_nf1(e, C, D, g) >= 0
-            assert loss_nf2(e, C, D, E, g) >= 0
-            assert loss_nf3(e, C, D, R, g) >= 0
-            assert loss_nf4(e, C, D, R, g) >= 0
-            assert loss_bot2(e, C, D, g) >= 0
-            assert loss_neg(e, C, D, R, g) >= 0
+            assert one(e, "nf1", (C, D), g) >= 0
+            assert one(e, "nf2", (C, D, E), g) >= 0
+            assert one(e, "nf3", (C, R, D), g) >= 0
+            assert one(e, "nf4", (R, C, D), g) >= 0
+            assert one(e, "bot2", (C, D), g) >= 0
+            assert one(e, "neg", (C, R, D), g) >= 0
 
     def test_nf1_geometric_term_translation_invariant(self, rng):
         # the hinge depends only on relative geometry; verify with unit-norm
@@ -150,14 +141,14 @@ class TestLossProperties:
             radii = rng.uniform(0, 1, 5)
             e1 = embed(centers, radii)
             e2 = embed(centers @ rot.T, radii)
-            assert loss_nf1(e1, C, D, 0.0) == pytest.approx(loss_nf1(e2, C, D, 0.0))
+            assert one(e1, "nf1", (C, D), 0.0) == pytest.approx(one(e2, "nf1", (C, D), 0.0))
 
     def test_top_norm_terms_skipped(self):
         # Top's center is not pushed to the unit sphere and contributes no
         # normalization penalty even when an axiom mentions it
         e = embed3((1, 0), 0.2, (1, 0), 0.5)
         e.class_centers[e.top] = [7.0, 7.0]
-        assert loss_nf1(e, C, 0, 0.0) == 0.0
+        assert one(e, "nf1", (C, 0), 0.0) == 0.0
 
 
 class TestBatch:
@@ -168,13 +159,13 @@ class TestBatch:
     def test_single_tuple_matches_scalar_op(self):
         e = embed3((0, 1), 0.5, (1, 0), 0.3)
         batch = LossBatch(gamma=0.0, nf1=np.array([[C, D]]))
-        assert batch_loss(batch, e) == pytest.approx(loss_nf1(e, C, D, 0.0))
+        assert batch_loss(batch, e) == pytest.approx(ref.batch_loss(batch, e))
 
     def test_additivity(self):
         e = embed3((0, 1), 0.5, (1, 0), 0.3)
         batch = LossBatch(gamma=0.0, nf1=np.array([[C, D], [D, C]]))
         assert batch_loss(batch, e) == pytest.approx(
-            loss_nf1(e, C, D, 0.0) + loss_nf1(e, D, C, 0.0)
+            one(e, "nf1", (C, D), 0.0) + one(e, "nf1", (D, C), 0.0)
         )
 
     def test_bucket_keys(self):
@@ -381,3 +372,87 @@ class TestFusedMatchesReference:
         assert _close(got_grad.loss, want_loss)
         for name in ("class_centers", "class_radii", "rel_vectors"):
             assert _close(getattr(got_grad, name), getattr(want_grad, name)), name
+
+
+# --- the coefficient table across bucket sizes -----------------------------
+
+COLUMNS = {
+    "nf1": "cc",
+    "nf2": "ccc",
+    "nf3": "crc",
+    "nf4": "rcc",
+    "bot1": "c",
+    "bot2": "cc",
+    "bot4": "rc",
+    "neg": "crc",
+}
+
+
+def table_batches():
+    """Batches of many bucket subsets and sizes, each one's plan different:
+    one row, each bucket alone, all eight buckets, and an NF2 radius tie."""
+    rng = np.random.default_rng(17)
+    n_classes, n_relations = 7, 2
+
+    def rows(name, n):
+        cols = [
+            rng.integers(0, n_relations, n) if kind == "r" else rng.integers(1, n_classes, n)
+            for kind in COLUMNS[name]
+        ]
+        return cols[0] if len(cols) == 1 else np.stack(cols, axis=1)
+
+    gamma = 0.05
+    out = [LossBatch(gamma, nf1=rows("nf1", 1))]
+    out += [LossBatch(gamma, **{name: rows(name, 1)}) for name in COLUMNS]
+    out += [LossBatch(gamma, **{name: rows(name, 4)}) for name in COLUMNS]
+    out.append(LossBatch(gamma, **{name: rows(name, 1) for name in COLUMNS}))
+    out.append(LossBatch(gamma, **{name: rows(name, 2 + i) for i, name in enumerate(COLUMNS)}))
+    # classes 3 and 4 share a radius: NF2's smaller operand is then c
+    out.append(LossBatch(0.0, nf2=np.array([[3, 4, 5], [4, 3, 5], [3, 4, 6]]), nf1=rows("nf1", 2)))
+    return out
+
+
+class TestTablePlans:
+    def test_every_size_tuple_matches_reference(self):
+        rng = np.random.default_rng(4)
+        radii = rng.uniform(0.05, 0.9, 7)
+        radii[3] = radii[4] = 0.6
+        radii[5] = 0.1
+        e = embed(rng.uniform(-1.2, 1.2, (7, 3)), radii, rng.uniform(-1, 1, (2, 3)))
+        batches = table_batches()
+        # forward then backward, so each memoized plan is met again after others
+        for batch in batches + batches[::-1]:
+            want_buckets = ref.bucket_losses(batch, e)
+            want_grad = ref.batch_gradient(batch, e)
+            got_buckets = bucket_losses(batch, e)
+            got_grad = batch_gradient(batch, e)
+            assert list(got_buckets) == list(want_buckets)
+            for key, value in want_buckets.items():
+                assert _close(got_buckets[key], value), key
+            assert _close(batch_loss(batch, e), ref.batch_loss(batch, e))
+            assert _close(got_grad.loss, ref.batch_loss(batch, e))
+            for name in ("class_centers", "class_radii", "rel_vectors"):
+                assert _close(getattr(got_grad, name), getattr(want_grad, name)), name
+
+    def test_nf2_tie_goes_to_first_operand(self):
+        e = embed3((1, 0), 0.6, (1, 0), 0.6, e_center=(1, 0), re_=0.1)
+        g = batch_gradient(LossBatch(0.0, nf2=np.array([[C, D, E]])), e)
+        # min(r(c), r(d)) - r(e) > 0 pushes r(c) down, not r(d)
+        assert g.class_radii[C] == 1.0
+        assert g.class_radii[D] == 0.0
+        assert g.class_radii[E] == -1.0
+
+    def test_gradient_tables_are_views_of_flat(self):
+        e = embed3((0, 1), 0.5, (1, 0), 0.3, rel=(0.5, 0.5))
+        g = batch_gradient(LossBatch(0.0, nf3=np.array([[C, R, D]])), e)
+        assert g.flat.size == e.class_centers.size + e.class_radii.size + e.rel_vectors.size
+        for table in (g.class_centers, g.class_radii, g.rel_vectors):
+            assert np.shares_memory(table, g.flat)
+        assert np.array_equal(
+            g.flat, np.concatenate([g.class_centers.ravel(), g.class_radii, g.rel_vectors.ravel()])
+        )
+
+    def test_bucket_of_wrong_width_rejected(self):
+        e = embed3((1, 0), 0.1, (1, 0), 0.2)
+        with pytest.raises(ValueError):
+            batch_loss(LossBatch(0.0, nf1=np.array([[C, D, E]])), e)

@@ -1,10 +1,13 @@
+import collections
+
 import numpy as np
 import pytest
 
 import loss_reference as ref
 from elball import trainer
-from elball.embeddings import TOP_RADIUS
+from elball.embeddings import TOP_RADIUS, EmbeddingSet, table_views
 from elball.family import family_ontology
+from elball.losses import LossBatch
 from elball.normalizer import eliminate_abox, normalize
 from elball.trainer import (
     Adam,
@@ -85,6 +88,27 @@ class TestAdam:
             assert p_fast["x"].tobytes() == p_slow["x"].tobytes()
         assert fast.m["x"].tobytes() == slow.m["x"].tobytes()
         assert fast.v["x"].tobytes() == slow.v["x"].tobytes()
+
+    def test_packed_buffer_matches_separate_tables(self):
+        rng = np.random.default_rng(8)
+        e = EmbeddingSet(rng.normal(size=(9, 4)), rng.normal(size=9), rng.normal(size=(2, 4)))
+        theta, packed = e.packed()
+        assert all(
+            np.shares_memory(getattr(packed, name), theta)
+            for name in ("class_centers", "class_radii", "rel_vectors")
+        )
+        tables = {
+            "class_centers": e.class_centers,
+            "class_radii": e.class_radii,
+            "rel_vectors": e.rel_vectors,
+        }
+        separate, whole = Adam(lr=0.05), Adam(lr=0.05)
+        for _ in range(300):
+            flat = rng.normal(size=theta.size) * (rng.uniform(size=theta.size) < 0.2)
+            separate.step(tables, dict(zip(tables, table_views(flat, e.n_classes, e.dim))))
+            whole.step({"params": theta}, {"params": flat})
+        for name, table in tables.items():
+            assert getattr(packed, name).tobytes() == table.tobytes(), name
 
 
 class TestInit:
@@ -215,3 +239,28 @@ class TestTrain:
         e, trace = train(family_theory, cfg)
         assert len(trace.minibatch) == 10
         assert np.all(np.isfinite(e.class_centers))
+
+    def test_calls_go_through_module_names(self, monkeypatch):
+        # the benchmark's traced run times training by patching these names
+        from elball.ontology import parse_ontology
+
+        theory = normalize(parse_ontology("A < B\nC < r some D\nB < r some C\n"))
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "batch_gradient":
+                    assert isinstance(args[0], LossBatch)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("batch_gradient", "generate_negatives"):
+            monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
+        monkeypatch.setattr(trainer.Adam, "step", counting("Adam.step", trainer.Adam.step))
+        cfg = TrainConfig(
+            dim=2, epochs=7, steps_per_epoch=3, batch_size=4, seed=0, neg_mode="fresh"
+        )
+        train(theory, cfg)
+        assert calls == {"batch_gradient": 21, "Adam.step": 21, "generate_negatives": 8}
