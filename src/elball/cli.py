@@ -131,16 +131,11 @@ def cmd_semsim(args) -> int:
         annotations.setdefault(entity, set()).add(cls)
     index = semsim.build_taxonomy(edges, annotations)
     lines = []
-    with open(args.pairs) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise dataio.DataError(f"{args.pairs}:{lineno}: expected 2 fields")
-            value = index.entity_similarity(parts[0], parts[1], args.measure)
-            lines.append(f"{parts[0]}\t{parts[1]}\t{value:.6f}")
+    for lineno, parts in dataio.tsv_lines(args.pairs):
+        if len(parts) < 2:
+            raise dataio.DataError(f"{args.pairs}:{lineno}: expected 2 fields")
+        value = index.entity_similarity(parts[0], parts[1], args.measure)
+        lines.append(f"{parts[0]}\t{parts[1]}\t{value:.6f}")
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -138,38 +138,35 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
 # --- ingestion -----------------------------------------------------------
 
 
-def read_pairs_tsv(path: str | Path) -> list[tuple[str, str, float]]:
-    """entity1<TAB>entity2<TAB>confidence rows; malformed rows name their line."""
-    rows = []
+def tsv_lines(path: str | Path):
+    """(line number, tab-separated fields) of every line but blank and # lines."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                conf = float(parts[2])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric confidence {parts[2]!r}"
-                ) from None
-            rows.append((parts[0], parts[1], conf))
+            if line and not line.startswith("#"):
+                yield lineno, line.split("\t")
+
+
+def read_pairs_tsv(path: str | Path) -> list[tuple[str, str, float]]:
+    """entity1<TAB>entity2<TAB>confidence rows; malformed rows name their line."""
+    rows = []
+    for lineno, parts in tsv_lines(path):
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            conf = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric confidence {parts[2]!r}") from None
+        rows.append((parts[0], parts[1], conf))
     return rows
 
 
 def read_annotations_tsv(path: str | Path) -> list[tuple[str, str]]:
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            rows.append((parts[0], parts[1]))
+    for lineno, parts in tsv_lines(path):
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        rows.append((parts[0], parts[1]))
     return rows
 
 
@@ -293,15 +290,10 @@ def read_split(split_dir: str | Path) -> LinkSplit:
         if not path.exists():
             return []
         triples = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                triples.append(tuple(parts))
+        for lineno, parts in tsv_lines(path):
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            triples.append(tuple(parts))
         return triples
 
     return LinkSplit(train=read("train"), valid=read("valid"), test=read("test"))

@@ -55,15 +55,6 @@ class EmbeddingSet:
         )
         return flat, EmbeddingSet(*table_views(flat, self.n_classes, self.dim), self.top, self.bot)
 
-    def copy(self) -> "EmbeddingSet":
-        return EmbeddingSet(
-            self.class_centers.copy(),
-            self.class_radii.copy(),
-            self.rel_vectors.copy(),
-            self.top,
-            self.bot,
-        )
-
     def zeros_like(self) -> "EmbeddingSet":
         return EmbeddingSet(
             np.zeros_like(self.class_centers),

@@ -12,6 +12,8 @@ radius itself (s = 0, unhinged). Each class operand carries one unit-sphere
 term | ||c|| - 1 | through the rows' sphere flags. A batch is evaluated as
 that table in one pass: one gather of the operands' centers, one norm, one
 hinge; ``batch_gradient`` adds one ``np.bincount`` into a flat gradient.
+The forward half, ``_forward``, also gives ``geometry.check_model`` its
+violations, so training and verification read each form from one row.
 Subgradient convention at non-differentiable points: the zero side (hinges
 contribute nothing at the kink, the norm direction is zero at a zero
 vector, sign is zero exactly on the unit sphere).
@@ -209,10 +211,13 @@ def _plan(sizes: tuple) -> _Plan:
     return plan
 
 
-def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
-    """Per-bucket losses and, if asked, the flat gradient, in one pass.
+def _forward(batch: LossBatch, e: EmbeddingSet):
+    """Every table row's hinge argument, without the unit-sphere terms.
 
-    Raises MissingSymbolError for any handle outside its table.
+    Returns the plan, the rows' operand handles ``abr`` (a, then b, then the
+    relations) and radius handles ``h``, the gathered ``y`` and its norms (see
+    below), and the arguments, rows in table order. Raises
+    MissingSymbolError for any handle outside its table.
     """
     buckets = [getattr(batch, form[1]) for form in _FORMS]
     plan = _plan(tuple(len(b) for b in buckets))
@@ -227,17 +232,12 @@ def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
         kind, n = ("relation", e.n_relations) if plan.is_rel[i] else ("class", e.n_classes)
         raise MissingSymbolError(f"{kind} handle {handles[i]} outside the embedding table [0, {n})")
 
-    nc, dim = e.n_classes, e.dim
-    size = nc * dim + nc + e.n_relations * dim
-    n = len(plan.s)
-    if not n:
-        return {}, np.zeros(size)
-
     # y holds every row's u = c[a] + q * v[rel] - c[b], then c[a], then c[b]
+    n = len(plan.s)
     abr = handles[plan.abr]
     ab, rel = abr[: 2 * n], abr[2 * n :]
     m1, m = plan.m_plus, len(rel)
-    y = np.empty((3 * n, dim))
+    y = np.empty((3 * n, e.dim))
     np.take(e.class_centers, ab, axis=0, out=y[n:], mode="clip")
     u = y[:n]
     np.subtract(y[n : 2 * n], y[2 * n :], out=u)
@@ -256,7 +256,20 @@ def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
     arg += kr[:n]
     arg += kr[n:]
     arg -= plan.s * batch.gamma
+    return plan, abr, h, y, norm, arg
 
+
+def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
+    """Per-bucket losses and, if asked, the flat gradient, in one pass."""
+    plan, abr, h, y, norm, arg = _forward(batch, e)
+    nc, dim = e.n_classes, e.dim
+    size = nc * dim + nc + e.n_relations * dim
+    n = len(plan.s)
+    if not n:
+        return {}, np.zeros(size)
+
+    ab = abr[: 2 * n]
+    m1, m = plan.m_plus, len(abr) - 2 * n  # relation rows that add, all relation rows
     sphere = plan.sphere * (ab != e.top)
     pen = sphere * np.abs(norm[n:] - 1.0)
     value = np.maximum(arg, plan.floor) + pen[:n] + pen[n:]

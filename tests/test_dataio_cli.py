@@ -117,6 +117,13 @@ class TestTsvParsing:
         with pytest.raises(DataError, match="non-numeric"):
             read_pairs_tsv(path)
 
+    def test_split_skips_blank_and_comment_lines(self, tmp_path):
+        (tmp_path / "test.tsv").write_text("# comment\nP1\tinteracts\tP2\n\n")
+        assert dataio.read_split(tmp_path).test == [("P1", "interacts", "P2")]
+        (tmp_path / "train.tsv").write_text("# comment\n\nP1\tP2\n")
+        with pytest.raises(DataError, match="train.tsv:3:"):
+            dataio.read_split(tmp_path)
+
 
 class TestSplit:
     PAIRS = [(f"P{i}", f"Q{i}") for i in range(10)]
@@ -318,3 +325,23 @@ class TestCli:
         same = float(lines[0].split("\t")[2])
         diff = float(lines[1].split("\t")[2])
         assert same > diff  # shared annotation beats disjoint annotation
+
+    def test_semsim_pairs_skip_comments_and_ignore_extra_columns(self, tmp_path):
+        taxonomy = tmp_path / "tax.el"
+        taxonomy.write_text("F0 < Function\n")
+        annots = tmp_path / "annots.tsv"
+        annots.write_text("P0\tF0\nP1\tF0\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# entity pairs\nP0\tP1\t900\n")
+        out = tmp_path / "scores.tsv"
+        rc = cli.main(
+            [
+                "semsim", "--taxonomy", str(taxonomy), "--annotations", str(annots),
+                "--pairs", str(pairs), "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert [line.split("\t")[:2] for line in out.read_text().splitlines()] == [["P0", "P1"]]
+        pairs.write_text("P0\tP1\nP0\n")
+        with pytest.raises(DataError, match="pairs.tsv:2:"):
+            cli.main(["semsim", "--taxonomy", str(taxonomy), "--annotations", str(annots), "--pairs", str(pairs)])

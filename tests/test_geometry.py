@@ -243,6 +243,13 @@ class TestCheckModel:
         with pytest.raises(GeometryError):
             check_model(t, e, 0.0)
 
+    def test_missing_symbol_is_named(self):
+        e = make_embeddings(np.zeros((5, 2)), [0, 0, 0, 0, 0], rels=np.zeros((0, 2)))
+        with pytest.raises(GeometryError, match="relation 'r'"):
+            check_model(make_theory(nf3=[(C, 0, D)]), e, 0.0)
+        with pytest.raises(GeometryError, match="class 'E'"):
+            check_model(make_theory(nf1=[(C, E)]), make_embeddings(np.zeros((4, 2)), [0] * 4), 0.0)
+
     def test_tolerance_monotonicity(self, rng):
         t = make_theory(nf1=[(C, D)], bot2=[(D, E)], nf3=[(C, 0, E)])
         for _ in range(25):
@@ -252,3 +259,150 @@ class TestCheckModel:
             if check_model(t, e, 0.0).overall:
                 for tol in (0.1, 1.0, 10.0):
                     assert check_model(t, e, tol).overall
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "table, value", [("center", math.nan), ("center", math.inf), ("radius", math.nan), ("relation", math.nan)]
+    )
+    def test_non_finite_operand_fails_every_axiom_it_enters(self, table, value):
+        t = make_theory(
+            nf1=[(C, D), (D, E)], nf2=[(C, D, E)], nf3=[(C, 0, D)], nf4=[(0, C, D)], bot1=[C], bot2=[(C, D)]
+        )
+        e = make_embeddings(np.zeros((5, 2)), [0, 0, 0.1, 0.5, 0.5])
+        clean = check_model(t, e, 1.0)
+        assert clean.overall
+        {"center": e.class_centers[C], "radius": e.class_radii[C:C + 1], "relation": e.rel_vectors[0]}[table][:] = value
+        report = check_model(t, e, 1.0)
+        assert not report.overall
+        enters = {"NF3", "NF4"} if table == "relation" else {"NF1", "NF2", "NF3", "NF4", "Bot1", "Bot2"}
+        for check, before in zip(report.checks, clean.checks):
+            if check.form in enters and C in check.axiom:
+                assert check.violation == math.inf and not check.satisfied, check
+            else:
+                assert check == before
+
+    def test_nan_radius_with_coincident_nf2_centers(self):
+        inter = intersection_ball(ball(0, 0, math.nan), ball(0, 0, 1))
+        assert math.isnan(inter.radius)
+        t = make_theory(nf2=[(C, D, E)])
+        e = make_embeddings(np.zeros((5, 2)), [0, 0, math.nan, 1, 1])
+        report = check_model(t, e, 0.1)
+        assert report.checks[0].violation == math.inf and not report.overall
+
+
+# --- the array checker against a scalar reading, axiom by axiom ------------
+
+TOP = 0
+N_RANDOM = 30  # random classes, handles 2 .. N_RANDOM + 1
+# NF2 operand pairs: c at a dyadic point, d offset along the first axis, so
+# that the touching pair's gap is exact
+NF2_CASES = {
+    "nested": (0.125, 0.25, 0.5),
+    "disjoint": (3.0, 0.5, 0.5),
+    "touching": (0.75, 0.5, 0.25),
+    "lens": (0.625, 0.5, 0.375),
+    "concentric": (0.0, 0.25, 0.75),
+}
+
+
+def random_theory(rng):
+    """A theory over every form with Top on each side, c == d, the NF2 cases
+    above, and a relation whose vector is zero; and an embedding for it."""
+    n = 2 + N_RANDOM + 2 * len(NF2_CASES)
+    classes = class_vocabulary()
+    for i in range(2, n):
+        classes.intern(f"C{i}")
+    relations = Vocabulary()
+    for name in ("r", "s", "zero"):
+        relations.intern(name)
+
+    def cls():
+        return TOP if rng.random() < 0.15 else int(rng.integers(2, 2 + N_RANDOM))
+
+    def rel():
+        return int(rng.integers(3))
+
+    def many(draw, k=25):
+        return [draw() for _ in range(k)]
+
+    pairs = [(2 + N_RANDOM + 2 * i, 3 + N_RANDOM + 2 * i) for i in range(len(NF2_CASES))]
+    theory = NormalizedTheory(
+        classes=classes,
+        relations=relations,
+        nf1=many(lambda: (cls(), cls())) + [(2, 2), (TOP, TOP), (TOP, 2), (2, TOP)],
+        nf2=many(lambda: (cls(), cls(), cls()))
+        + [(c, d, cls()) for c, d in pairs]
+        + [(d, c, 2) for c, d in pairs]
+        + [(TOP, TOP, TOP), (TOP, TOP, 2), (TOP, 2, 3), (2, TOP, 3), (2, 3, TOP)],
+        nf3=many(lambda: (cls(), rel(), cls())) + [(TOP, 0, 2), (2, 2, TOP), (2, 2, 3)],
+        nf4=many(lambda: (rel(), cls(), cls())) + [(0, TOP, 2), (1, 2, TOP), (2, TOP, TOP)],
+        bot1=many(cls) + [TOP],
+        bot2=many(lambda: (cls(), cls())) + [(TOP, 2), (2, TOP), (TOP, TOP)],
+        bot4=many(lambda: (rel(), cls())) + [(0, TOP)],
+    )
+    centers = rng.normal(0, 1, (n, 3))
+    radii = rng.uniform(0, 1.2, n)
+    for i, (c, d) in enumerate(pairs):
+        offset, r_c, r_d = list(NF2_CASES.values())[i]
+        centers[c] = [0.5 * i, 0.25, -1.0]
+        centers[d] = centers[c] + [offset, 0.0, 0.0]
+        radii[c], radii[d] = r_c, r_d
+    rels = rng.normal(0, 1, (3, 3))
+    rels[2] = 0.0
+    return theory, make_embeddings(centers, radii, rels)
+
+
+def scalar_reading(theory, e):
+    """(form, axiom, text, violation) of every axiom, one at a time from the
+    scalar helpers, with the checker's rules for Top."""
+    C, rad, R, inf = e.class_centers, e.class_radii, e.rel_vectors, math.inf
+    name, rel = theory.classes.name, theory.relations.name
+
+    def b(c, shift=0.0):
+        return Ball(C[c] + shift, float(rad[c]))
+
+    out = []
+    for c, d in theory.nf1:
+        v = 0.0 if d == TOP or c == d else inf if c == TOP else containment_violation(b(c), b(d))
+        out.append(("NF1", (c, d), f"{name(c)} < {name(d)}", v))
+    for c, d, x in theory.nf2:
+        if c == TOP and d == TOP:
+            v = 0.0 if x == TOP else inf
+        else:
+            inter = b(d) if c == TOP else b(c) if d == TOP else intersection_ball(b(c), b(d))
+            v = 0.0 if inter is None or x == TOP else containment_violation(inter, b(x))
+        out.append(("NF2", (c, d, x), f"{name(c)} and {name(d)} < {name(x)}", v))
+    for c, r, d in theory.nf3:
+        v = 0.0 if d == TOP else inf if c == TOP else containment_violation(b(c, R[r]), b(d))
+        out.append(("NF3", (c, r, d), f"{name(c)} < {rel(r)} some {name(d)}", v))
+    for r, c, d in theory.nf4:
+        gap = float(np.linalg.norm(C[c] - R[r] - C[d]))
+        v = max(0.0, gap - float(rad[c]) - float(rad[d]))
+        out.append(("NF4", (r, c, d), f"{rel(r)} some {name(c)} < {name(d)}", v))
+    for c in theory.bot1:
+        out.append(("Bot1", (c,), f"{name(c)} < Bot", inf if c == TOP else max(0.0, float(rad[c]))))
+    for c, d in theory.bot2:
+        gap = float(np.linalg.norm(C[c] - C[d]))
+        v = inf if TOP in (c, d) else max(0.0, float(rad[c]) + float(rad[d]) - gap)
+        out.append(("Bot2", (c, d), f"{name(c)} and {name(d)} < Bot", v))
+    for r, c in theory.bot4:
+        v = inf if c == TOP else max(0.0, float(rad[c]))
+        out.append(("Bot4", (r, c), f"{rel(r)} some {name(c)} < Bot", v))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_checker_matches_scalar_reading(seed):
+    theory, e = random_theory(np.random.default_rng(seed))
+    tol = 0.05
+    report = check_model(theory, e, tol)
+    expected = scalar_reading(theory, e)
+    assert [(c.form, c.axiom, c.text) for c in report.checks] == [x[:3] for x in expected]
+    for check, (form, _, _, v) in zip(report.checks, expected):
+        if math.isinf(v):
+            assert check.violation == v, check
+        else:
+            assert check.violation == pytest.approx(v, rel=0, abs=1e-9 if form == "NF2" else 1e-12), check
+        assert check.satisfied == (v <= tol), check
+        assert check.informational == (form == "NF4")
