@@ -10,7 +10,7 @@ Run with: python3 demos/synthetic_interactions.py
 """
 
 from elball.dataio import build_dataset
-from elball.evaluation import embedding_score_fn, ranking_report
+from elball.evaluation import embedding_score_fn, entity_index, ranking_report
 from elball.normalizer import eliminate_abox, normalize
 from elball.ontology import parse_ontology
 from elball.semsim import build_taxonomy, semsim_score_fn
@@ -33,10 +33,7 @@ def main():
     e, trace = train(theory, cfg)
     print(f"final minibatch loss: {trace.minibatch[-1]:.2f}")
 
-    cls_idx = {name: i for i, name in enumerate(theory.classes)}
-    for name, i in list(cls_idx.items()):
-        if name.startswith("{") and name.endswith("}"):
-            cls_idx.setdefault(name[1:-1], i)
+    cls_idx = entity_index(theory.classes)
     rel_idx = {name: i for i, name in enumerate(theory.relations)}
 
     emb_report = ranking_report(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .evaluation import LinkSplit
+from .evaluation import LinkSplit, entity_index
 from .ontology import (
     Atomic,
     Existential,
@@ -48,11 +48,7 @@ class Checkpoint:
 
     def entity_index(self) -> dict[str, int]:
         """Class lookup that also resolves bare entity names to their "{name}" class."""
-        index = dict(self.class_index)
-        for i, name in enumerate(self.class_names):
-            if name.startswith("{") and name.endswith("}"):
-                index.setdefault(name[1:-1], i)
-        return index
+        return entity_index(self.class_names)
 
 
 def save_checkpoint(
@@ -81,13 +77,32 @@ def save_checkpoint(
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, ValueError):  # allow_nan=False refused a NaN or ±inf
+            where = _first_nonfinite(
+                e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names
+            )
+            raise CheckpointError(
+                f"cannot write checkpoint {path}: {where or 'metadata'} holds a NaN or ±inf"
+            ) from None
         raise
+
+
+def _first_nonfinite(centers, radii, rels, class_names, relation_names) -> str | None:
+    """'class NAME' or 'relation NAME' of the first row holding a NaN or ±inf, else None."""
+    rows = (
+        ("class", class_names, ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii))),
+        ("relation", relation_names, ~np.isfinite(rels).all(axis=1)),
+    )
+    for kind, names, bad in rows:
+        if bad.any():
+            return f"{kind} {names[int(np.argmax(bad))]!r}"
+    return None
 
 
 def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoint:
@@ -124,6 +139,9 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     )
     if centers.shape[1] != dim or (relation_names and rels.shape[1] != dim):
         raise CheckpointError(f"vector length disagrees with metadata dim {dim}")
+    bad = _first_nonfinite(centers, radii, rels, class_names, relation_names)
+    if bad is not None:
+        raise CheckpointError(f"checkpoint {path}: {bad} holds a NaN or ±inf")
 
     try:
         top = class_names.index("Top")

@@ -2,14 +2,17 @@
 
 Ranking is generic over a batch score function ``score_fn(head, rel,
 tails) -> array`` so the same report machinery serves ball embeddings and
-semantic-similarity baselines. Ties are broken pessimistically: the true
-tail ranks worst among equal scores.
+semantic-similarity baselines. A score function that also has a
+``block(heads, rel, tails)`` method, as ``embedding_score_fn``'s does,
+scores many queries of one relation at once. Ties are broken
+pessimistically: the true tail ranks worst among equal scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,32 +21,64 @@ from .embeddings import EmbeddingSet
 Triple = tuple[Hashable, Hashable, Hashable]
 ScoreFn = Callable[[Hashable, Hashable, Sequence[Hashable]], np.ndarray]
 
+_BLOCK = 1 << 16  # float64 elements in one Q×K×dim difference block, 512 kB
+
 
 class EvaluationError(Exception):
     pass
 
 
-def embedding_score_fn(
-    e: EmbeddingSet,
-    class_index: dict[Hashable, int],
-    rel_index: dict[Hashable, int],
-    gamma: float,
-) -> ScoreFn:
-    """Batch score function over symbol names, vectorized over the tails."""
+def entity_index(class_names: Iterable[str]) -> dict[str, int]:
+    """Class name -> row, where a bare entity name "p" also names its "{p}" class.
 
-    def fn(head, rel, tails):
+    A class literally named "p" keeps its own row; "{}" names no entity.
+    """
+    index = {name: i for i, name in enumerate(class_names)}
+    for name, i in list(index.items()):
+        if len(name) > 2 and name[0] == "{" and name[-1] == "}":
+            index.setdefault(name[1:-1], i)
+    return index
+
+
+class EmbeddingScorer:
+    """-max(0, ||c_h + r - c_t|| - r_h - r_t - gamma) over symbol names.
+
+    Calling it scores one head against a list of tails. ``block`` resolves
+    and gathers the tails once and scores many heads against them, in row
+    blocks of at most ``_BLOCK`` difference elements; every row equals the
+    call's bit for bit.
+    """
+
+    def __init__(self, e: EmbeddingSet, class_index: dict, rel_index: dict, gamma: float):
+        self.e, self.class_index, self.rel_index, self.gamma = e, class_index, rel_index, gamma
+
+    def __call__(self, head, rel, tails) -> np.ndarray:
+        return next(self.block([head], rel, tails))[0]
+
+    def block(self, heads: Sequence, rel, tails: Sequence) -> Iterator[np.ndarray]:
+        """The Q×K scores of ``heads`` against ``tails``, as consecutive row blocks."""
+        h, t = self._handles(self.class_index, heads), self._handles(self.class_index, tails)
+        r = self._handles(self.rel_index, [rel])[0]
+        centers, radii = self.e.class_centers, self.e.class_radii
+        tail_centers, tail_radii = centers[t], radii[t]
+        step = max(1, _BLOCK // max(1, len(t) * self.e.dim))
+        buf = np.empty((min(step, len(h)), len(t), self.e.dim))  # every block's differences
+        for i in range(0, len(h), step):
+            rows = h[i : i + step]
+            moved = centers[rows] + self.e.rel_vectors[r]
+            x = np.subtract(moved[:, None, :], tail_centers, out=buf[: len(rows)])
+            gaps = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), -1))
+            yield -np.maximum(0.0, gaps - radii[rows, None] - tail_radii - self.gamma)
+
+    @staticmethod
+    def _handles(index: dict, names: Sequence) -> np.ndarray:
         try:
-            c = class_index[head]
-            r = rel_index[rel]
-            d = np.fromiter(map(class_index.__getitem__, tails), np.intp, len(tails))
+            return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
         except KeyError as exc:
             raise EvaluationError(f"no embedding for symbol {exc.args[0]!r}") from None
-        gaps = np.linalg.norm(
-            e.class_centers[c] + e.rel_vectors[r] - e.class_centers[d], axis=-1
-        )
-        return -np.maximum(0.0, gaps - e.class_radii[c] - e.class_radii[d] - gamma)
 
-    return fn
+
+embedding_score_fn = EmbeddingScorer  # (e, class_index, rel_index, gamma) -> score function
 
 
 @dataclass
@@ -97,30 +132,53 @@ class RankingReport:
         }
 
 
-def _positions(candidates: Sequence[Hashable]) -> dict[Hashable, list[int]]:
-    where: dict[Hashable, list[int]] = {}
-    for i, t in enumerate(candidates):
-        where.setdefault(t, []).append(i)
-    return where
+def _blocks(score_fn: ScoreFn, heads: Sequence, rel, tails: list) -> Iterator[np.ndarray]:
+    """Row blocks of the Q×K scores; a plain score function's rows fill one reused buffer."""
+    if hasattr(score_fn, "block"):
+        yield from score_fn.block(heads, rel, tails)
+        return
+    step = max(1, _BLOCK // max(1, len(tails)))
+    buf = np.empty((min(step, len(heads)), len(tails)))
+    for i in range(0, len(heads), step):
+        chunk = heads[i : i + step]
+        block = buf[: len(chunk)]
+        for row, head in zip(block, chunk):
+            row[:] = score_fn(head, rel, tails)
+        yield block
 
 
-def _ranks(head, rel, true_tail, candidates, where, score_fn, exclude) -> tuple[int, int, int, int]:
-    """(raw rank, raw pool, filtered rank, filtered pool) from one score_fn call.
+def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, exclude: list):
+    """Raw rank, filtered rank and filtered pool size of each query (heads[q], rel, tails[q]).
 
-    Ranks are pessimistic: 1 + the other candidates scoring at least the
-    true tail. ``where`` maps each candidate to its positions. Filtering
-    drops the candidates in ``exclude`` except the true tail itself.
+    Ranks are pessimistic: 1 + the pool positions holding another tail
+    that score at least the true tail. Filtering also drops every position
+    of the tails in ``exclude[q]`` except the true tail itself.
     """
-    if true_tail not in where:
-        raise EvaluationError(f"true tail {true_tail!r} not among candidates")
-    scores = np.asarray(score_fn(head, rel, candidates), dtype=np.float64)
-    true_idx = where[true_tail][0]
-    ahead = scores >= scores[true_idx]
-    ahead[true_idx] = False
-    raw = 1 + int(np.count_nonzero(ahead))
-    dropped = {i for t in exclude if t != true_tail for i in where.get(t, ())}
-    ahead[list(dropped)] = False
-    return raw, len(candidates), 1 + int(np.count_nonzero(ahead)), len(candidates) - len(dropped)
+    where: dict[Hashable, list[int]] = {}
+    for i, t in enumerate(pool):
+        where.setdefault(t, []).append(i)
+    first = np.fromiter((where[t][0] for t in pool), np.intp, len(pool))
+    try:
+        col = np.fromiter((where[t][0] for t in tails), np.intp, len(tails))
+    except KeyError as exc:
+        raise EvaluationError(f"true tail {exc.args[0]!r} not among candidates") from None
+    drops = [[i for x in ex if x != t for i in where.get(x, ())] for t, ex in zip(tails, exclude)]
+    n_dropped = np.fromiter(map(len, drops), np.intp, len(drops))
+    drop_q = np.repeat(np.arange(len(drops)), n_dropped)
+    drop_col = np.fromiter(chain.from_iterable(drops), np.intp, len(drop_q))
+    raw, filt = np.empty((2, len(heads)), dtype=np.intp)
+    start = 0
+    for scores in _blocks(score_fn, heads, rel, pool):
+        stop = start + len(scores)
+        cols = col[start:stop]
+        ahead = scores >= scores[np.arange(len(cols)), cols, None]
+        ahead &= first != cols[:, None]  # the self-mask, over every copy of the true tail
+        raw[start:stop] = np.count_nonzero(ahead, axis=1)
+        lo, hi = np.searchsorted(drop_q, (start, stop))
+        ahead[drop_q[lo:hi] - start, drop_col[lo:hi]] = False
+        filt[start:stop] = np.count_nonzero(ahead, axis=1)
+        start = stop
+    return 1 + raw, 1 + filt, len(pool) - n_dropped
 
 
 def rank_query(
@@ -136,20 +194,17 @@ def rank_query(
     ``exclude`` drops known-true tails from the candidate list (the
     filtered setting); the true tail itself is never dropped.
     """
-    candidates = list(candidates)
-    return _ranks(head, rel, true_tail, candidates, _positions(candidates), score_fn, exclude)[2:]
-
-
-def _per_query_auc(rank: int, n: int) -> float:
-    return 1.0 if n <= 1 else (n - rank) / (n - 1)
+    _, rank, n = _rank(score_fn, [head], rel, [true_tail], list(candidates), [exclude])
+    return int(rank[0]), int(n[0])
 
 
 def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     """Raw and filtered metrics over the test triples.
 
-    Each query is scored once over its relation's whole candidate pool.
-    Filtered ranking excludes train and validation tails for the same
-    (head, relation); other test triples are not excluded.
+    The queries of each relation are scored together against its whole
+    candidate pool, once each. Filtered ranking excludes train and
+    validation tails for the same (head, relation); other test triples
+    are not excluded.
     """
     if not split.test:
         raise EvaluationError("empty test set")
@@ -157,30 +212,33 @@ def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     known: dict[tuple, set] = {}
     for h, r, t in split.train + split.valid:
         known.setdefault((h, r), set()).add(t)
+    by_rel: dict = {}
+    for q, (h, r, t) in enumerate(split.test):
+        by_rel.setdefault(r, []).append(q)
 
-    pools: dict = {}
-    raw_ranks, raw_aucs, filt_ranks, filt_aucs = [], [], [], []
-    for h, r, t in split.test:
-        if r not in pools:
-            candidates = list(split.candidate_tails(r))
-            pools[r] = candidates, _positions(candidates)
-        rank, n, rank_f, n_f = _ranks(h, r, t, *pools[r], score_fn, known.get((h, r), ()))
-        raw_ranks.append(rank)
-        raw_aucs.append(_per_query_auc(rank, n))
-        filt_ranks.append(rank_f)
-        filt_aucs.append(_per_query_auc(rank_f, n_f))
+    # per query in split.test order: raw rank, raw pool, filtered rank, filtered pool
+    raw, n, filt, n_f = np.empty((4, len(split.test)), dtype=np.intp)
+    for r, queries in by_rel.items():
+        heads, _, tails = zip(*map(split.test.__getitem__, queries))
+        pool = list(split.candidate_tails(r))
+        exclude = [known.get((h, r), ()) for h in heads]
+        raw[queries], filt[queries], n_f[queries] = _rank(score_fn, heads, r, tails, pool, exclude)
+        n[queries] = len(pool)
+
+    def auc(rank, n):
+        return np.divide(n - rank, n - 1, out=np.ones(len(n)), where=n > 1)
 
     def hits(ranks, k):
-        return float(np.mean([rank <= k for rank in ranks]))
+        return float(np.mean(ranks <= k))
 
     return RankingReport(
-        raw_hits10=hits(raw_ranks, 10),
-        raw_hits100=hits(raw_ranks, 100),
-        raw_mean_rank=float(np.mean(raw_ranks)),
-        raw_auc=float(np.mean(raw_aucs)),
-        filtered_hits10=hits(filt_ranks, 10),
-        filtered_hits100=hits(filt_ranks, 100),
-        filtered_mean_rank=float(np.mean(filt_ranks)),
-        filtered_auc=float(np.mean(filt_aucs)),
+        raw_hits10=hits(raw, 10),
+        raw_hits100=hits(raw, 100),
+        raw_mean_rank=float(np.mean(raw)),
+        raw_auc=float(np.mean(auc(raw, n))),
+        filtered_hits10=hits(filt, 10),
+        filtered_hits100=hits(filt, 100),
+        filtered_mean_rank=float(np.mean(filt)),
+        filtered_auc=float(np.mean(auc(filt, n_f))),
         n_queries=len(split.test),
     )

@@ -26,6 +26,7 @@ from elball.dataio import build_dataset, save_checkpoint
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.evaluation import (
     embedding_score_fn,
+    entity_index,
     ranking_report,
 )
 from elball.family import family_ontology
@@ -64,10 +65,7 @@ def synthetic_setup():
     onto, split = build_dataset(ds.pair_rows, ds.annotation_rows, seed=0)
     parse_ontology(ds.taxonomy_text, onto)
     theory = normalize(eliminate_abox(onto))
-    cls_idx = {name: i for i, name in enumerate(theory.classes)}
-    for name, i in list(cls_idx.items()):
-        if name.startswith("{") and name.endswith("}"):
-            cls_idx.setdefault(name[1:-1], i)
+    cls_idx = entity_index(theory.classes)
     rel_idx = {name: i for i, name in enumerate(theory.relations)}
     return ds, theory, split, cls_idx, rel_idx
 

@@ -17,6 +17,7 @@ from elball.dataio import (
     split_pairs,
 )
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
+from elball.evaluation import entity_index
 from elball.family import FAMILY_KB
 from elball.normalizer import eliminate_abox, normalize
 from elball.ontology import format_axiom, format_ontology, parse_ontology
@@ -97,6 +98,52 @@ class TestCheckpoint:
         save_checkpoint(path, e, ["Top", "Bot", "{P1}", "{P2}"], REL_NAMES, {})
         index = load_checkpoint(path).entity_index()
         assert index["P1"] == index["{P1}"] == 2
+
+    def test_entity_index_is_the_shared_builder(self):
+        names = ["Top", "Bot", "{P1}", "{}"]
+        ckpt = Checkpoint(sample_embeddings(), names, REL_NAMES)
+        assert ckpt.entity_index() == entity_index(names)
+        assert "" not in ckpt.entity_index()
+
+    def test_top_sentinel_radius_round_trips(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
+        assert load_checkpoint(path).embeddings.class_radii[0] == TOP_RADIUS
+
+
+NON_FINITE = [
+    ("class_centers", (2, 1), np.nan, "class 'A'"),
+    ("class_radii", 3, np.inf, "class 'B'"),
+    ("rel_vectors", (0, 0), np.nan, "relation 'r'"),
+]
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("table, at, value, symbol", NON_FINITE)
+    def test_save_refuses(self, tmp_path, table, at, value, symbol):
+        e = sample_embeddings()
+        getattr(e, table)[at] = value
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(path, e, CLASS_NAMES, REL_NAMES, {})
+        assert str(path) in str(info.value) and symbol in str(info.value)
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+
+    @pytest.mark.parametrize("table, at, value, symbol", NON_FINITE)
+    def test_load_rejects(self, tmp_path, table, at, value, symbol):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
+        payload = json.loads(path.read_text())
+        if table == "class_centers":
+            payload["classes"]["A"]["center"][1] = value
+        elif table == "class_radii":
+            payload["classes"]["B"]["radius"] = value
+        else:
+            payload["relations"]["r"][0] = value
+        path.write_text(json.dumps(payload))  # NaN and Infinity tokens
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and symbol in str(info.value)
 
 
 class TestTsvParsing:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from elball import evaluation
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.evaluation import (
     EvaluationError,
     LinkSplit,
     RankingReport,
     embedding_score_fn,
+    entity_index,
     rank_query,
     ranking_report,
 )
@@ -254,3 +256,109 @@ def test_filtered_never_worse_than_raw(rng):
         split, fn = random_instance(rng)
         report = ranking_report(split, fn)
         assert report.filtered_mean_rank <= report.raw_mean_rank
+
+
+# --- block scoring ----------------------------------------------------------
+
+
+def block_tables(rng, n=12, dim=5):
+    """Seeded tables whose radii clip many scores to zero; row 0 is Top, relation 1 is zero."""
+    rels = np.vstack([rng.normal(0, 1, (1, dim)), np.zeros((1, dim))])
+    e = embed(rng.normal(0, 1, (n, dim)), rng.uniform(0, 1.5, n), rels)
+    return e, {f"C{i}": i for i in range(n)}, {"r": 0, "zero": 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rel", ["r", "zero"])
+def test_block_rows_equal_call_bitwise(seed, rel, monkeypatch):
+    rng = np.random.default_rng(seed)
+    e, names, rels = block_tables(rng)
+    fn = embedding_score_fn(e, names, rels, gamma=0.05)
+    heads = [f"C{i}" for i in rng.integers(0, 12, 9)] + ["C0"]
+    tails = [f"C{i}" for i in rng.permutation(12)] + ["C3", "C0"]
+    monkeypatch.setattr(evaluation, "_BLOCK", 3 * len(tails) * e.dim)  # three rows a block
+    with np.errstate(over="ignore"):  # Top against Top: -TOP_RADIUS - TOP_RADIUS
+        blocks = list(fn.block(heads, rel, tails))
+        rows = np.stack([fn(h, rel, tails) for h in heads])
+        C, rad, R = e.class_centers, e.class_radii, e.rel_vectors
+        t = [names[x] for x in tails]
+        printed = np.stack([  # the printed score, through np.linalg.norm per head
+            -np.maximum(0.0, np.linalg.norm(C[names[h]] + R[rels[rel]] - C[t], axis=-1)
+                        - rad[names[h]] - rad[t] - 0.05)
+            for h in heads
+        ])
+    assert [len(b) for b in blocks] == [3, 3, 3, 1]
+    got = np.vstack(blocks)
+    assert np.array_equal(got.view(np.int64), rows.view(np.int64))
+    assert np.array_equal(got.view(np.int64), printed.view(np.int64))
+    assert (got == 0.0).any() and (got < 0.0).any()
+
+
+def block_instance(rng):
+    """Six test triples of two relations, interleaved. Pool "r" repeats tails, the
+    true tail C2 among them; some known tails lie outside it; pool "zero" has one tail.
+
+    Six queries keep np.mean's sums in the oracle's left-to-right order.
+    """
+    entities = [f"C{i}" for i in range(1, 12)]
+    heads = entities[:3]
+    pool_r = entities[:7] + ["C2", "C5", "C2"]
+    train = [(str(rng.choice(heads)), "r", str(t)) for t in rng.choice(entities, 12)]
+    valid = [(h, "r", "C11") for h in heads] + [("C1", "zero", "C9")]
+    tails = ["C2", str(rng.choice(pool_r)), str(rng.choice(pool_r))]
+    test = []
+    for h, t in zip(rng.choice(heads, 3), tails):
+        test += [(str(h), "r", t), (str(rng.choice(heads)), "zero", "C9")]
+    pools = {"r": pool_r, "zero": ["C9"]}
+    return LinkSplit(train=train, valid=valid, test=test, candidates=pools)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_report_equals_oracle_and_plain_callable(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    e, names, rels = block_tables(rng)
+    fn = embedding_score_fn(e, names, rels, gamma=0.05)
+    split = block_instance(rng)
+    monkeypatch.setattr(evaluation, "_BLOCK", 2 * 10 * e.dim)  # two rows of pool "r"
+    block = ranking_report(split, fn)
+    assert block == brute_force_report(split, fn)
+    assert block == ranking_report(split, lambda h, r, t: fn(h, r, t))
+    assert block.n_queries == 6
+
+
+def test_duplicated_true_tail_is_not_a_competitor():
+    split = LinkSplit(
+        train=[("a", "r", "c")], test=[("a", "r", "b")], candidates={"r": list("bcbdc")}
+    )
+    fn = const_scores({"b": -0.5}, default=-1.0)
+    report = ranking_report(split, fn)
+    assert report == brute_force_report(split, fn)
+    assert (report.raw_mean_rank, report.raw_auc) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "triple, symbol",
+    [(("X", "r", "C2"), "X"), (("C1", "r", "X"), "X"), (("C1", "s", "C2"), "s")],
+)
+def test_unknown_symbol_names_it(triple, symbol):
+    e, names, rels = block_tables(np.random.default_rng(0))
+    fn = embedding_score_fn(e, names, rels, gamma=0.0)
+    split = LinkSplit(test=[("C1", "r", "C2"), triple])
+    with pytest.raises(EvaluationError, match=repr(symbol)):
+        ranking_report(split, fn)
+
+
+def test_true_tail_missing_from_pool_raises():
+    e, names, rels = block_tables(np.random.default_rng(0))
+    fn = embedding_score_fn(e, names, rels, gamma=0.0)
+    test = [("C1", "r", "C2"), ("C1", "r", "C5")]
+    split = LinkSplit(test=test, candidates={"r": ["C2", "C3"]})
+    with pytest.raises(EvaluationError, match="'C5' not among candidates"):
+        ranking_report(split, fn)
+
+
+def test_entity_index():
+    index = entity_index(["Top", "{P1}", "P2", "{P2}", "{}"])
+    assert index["P1"] == index["{P1}"] == 1
+    assert index["P2"] == 2 and index["{P2}"] == 3  # a class named P2 keeps its row
+    assert index["{}"] == 4 and "" not in index
