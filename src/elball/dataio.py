@@ -247,27 +247,37 @@ def build_dataset(
         test=directed(test_pairs),
     )
 
+    # Concept nodes are immutable, so the axioms share one Nominal per
+    # individual and one Existential per (relation, filler).
     onto = Ontology()
     rel_id = onto.relations.intern(relation)
     fn_rel_id = onto.relations.intern(function_relation)
+    nominals: dict[str, Nominal] = {}
+
+    def nominal(name: str) -> Nominal:
+        node = nominals.get(name)
+        if node is None:
+            node = nominals[name] = Nominal(onto.individuals.intern(name))
+        return node
+
+    interacts_with: dict[str, Existential] = {}
     for head, _, tail in split.train:
-        onto.add(
-            GCI(
-                Nominal(onto.individuals.intern(head)),
-                Existential(rel_id, Nominal(onto.individuals.intern(tail))),
-            )
-        )
+        sub = nominal(head)
+        sup = interacts_with.get(tail)
+        if sup is None:
+            sup = interacts_with[tail] = Existential(rel_id, nominal(tail))
+        onto.add(GCI(sub, sup))
+    has_function: dict[str, Existential] = {}
     seen_annots = set()
     for entity, cls in annotation_rows:
         if (entity, cls) in seen_annots:
             continue
         seen_annots.add((entity, cls))
-        onto.add(
-            GCI(
-                Nominal(onto.individuals.intern(entity)),
-                Existential(fn_rel_id, Atomic(onto.classes.intern(cls))),
-            )
-        )
+        sub = nominal(entity)
+        sup = has_function.get(cls)
+        if sup is None:
+            sup = has_function[cls] = Existential(fn_rel_id, Atomic(onto.classes.intern(cls)))
+        onto.add(GCI(sub, sup))
     return onto, split
 
 

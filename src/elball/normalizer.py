@@ -54,6 +54,9 @@ class NormalForm(Enum):
     BOT2 = "Bot2"
     BOT4 = "Bot4"
 
+    # members are singletons compared by identity; Enum's own hash runs in Python
+    __hash__ = object.__hash__
+
 
 @dataclass
 class NormalizedTheory:
@@ -126,25 +129,34 @@ def eliminate_abox(onto: Ontology) -> Ontology:
     """Replace individuals with singleton classes.
 
     r(a,b) becomes {a} < r some {b}; C(a) becomes {a} < C; nominal concepts
-    inside GCIs become atomic classes named "{a}".
+    inside GCIs become atomic classes named "{a}", one shared Atomic node
+    each, interned on first occurrence (subject before object).
     """
     out = Ontology(
         classes=onto.classes.copy(),
         relations=onto.relations.copy(),
         individuals=onto.individuals.copy(),
     )
+    nominal_classes: dict[int, Atomic] = {}
+    some: dict[int, Existential] = {}  # by id(); every key is a node of onto.axioms
 
-    def nominal_class(individual: int) -> Concept:
-        name = nominal_class_name(onto.individuals.name(individual))
-        return Atomic(out.classes.intern(name))
+    def nominal_class(individual: int) -> Atomic:
+        node = nominal_classes.get(individual)
+        if node is None:
+            name = nominal_class_name(onto.individuals.name(individual))
+            node = nominal_classes[individual] = Atomic(out.classes.intern(name))
+        return node
 
     def convert(concept: Concept) -> Concept:
         if isinstance(concept, Nominal):
             return nominal_class(concept.individual)
+        if isinstance(concept, Existential):
+            node = some.get(id(concept))
+            if node is None:
+                node = some[id(concept)] = Existential(concept.relation, convert(concept.filler))
+            return node
         if isinstance(concept, Conjunction):
             return Conjunction(convert(concept.left), convert(concept.right))
-        if isinstance(concept, Existential):
-            return Existential(concept.relation, convert(concept.filler))
         return concept
 
     for axiom, position in zip(onto.axioms, onto.positions):
@@ -158,11 +170,8 @@ def eliminate_abox(onto: Ontology) -> Ontology:
         else:
             converted = GCI(convert(axiom.sub), convert(axiom.sup))
         out.add(converted, position)
+    some.clear()  # convert refers to itself, so only the cyclic GC would free it
     return out
-
-
-def _is_atomic(concept: Concept) -> bool:
-    return isinstance(concept, Atomic)
 
 
 def _contains_bot(concept: Concept) -> bool:
@@ -181,37 +190,41 @@ def _flatten_conjunction(concept: Concept) -> list[Concept]:
     return [concept]
 
 
+def _normal_form(sub: Concept, sup: Concept) -> Optional[tuple[NormalForm, object]]:
+    """The bucket that  sub < sup  already fits and its entry there, or None.
+
+    None also covers every axiom with Bot on its left.
+    """
+    if isinstance(sub, Atomic) and sub.cls != BOT_ID:
+        if isinstance(sup, Atomic):
+            if sup.cls == BOT_ID:
+                return NormalForm.BOT1, sub.cls
+            return NormalForm.NF1, (sub.cls, sup.cls)
+        if isinstance(sup, Existential) and isinstance(sup.filler, Atomic) and sup.filler.cls != BOT_ID:
+            return NormalForm.NF3, (sub.cls, sup.relation, sup.filler.cls)
+        return None
+    if not isinstance(sup, Atomic):
+        return None
+    if isinstance(sub, Conjunction):
+        left, right = sub.left, sub.right
+        if not (isinstance(left, Atomic) and isinstance(right, Atomic)) or BOT_ID in (left.cls, right.cls):
+            return None
+        if sup.cls == BOT_ID:
+            return NormalForm.BOT2, (left.cls, right.cls)
+        return NormalForm.NF2, (left.cls, right.cls, sup.cls)
+    if isinstance(sub, Existential) and isinstance(sub.filler, Atomic) and sub.filler.cls != BOT_ID:
+        if sup.cls == BOT_ID:
+            return NormalForm.BOT4, (sub.relation, sub.filler.cls)
+        return NormalForm.NF4, (sub.relation, sub.filler.cls, sup.cls)
+    return None
+
+
 def classify_axiom(axiom: Axiom) -> Optional[NormalForm]:
     """Which bucket the axiom already fits, or None when it is not normal."""
     if not isinstance(axiom, GCI):
         return None
-    sub, sup = axiom.sub, axiom.sup
-    if isinstance(sub, Atomic) and sub.cls != BOT_ID:
-        if isinstance(sup, Atomic):
-            return NormalForm.BOT1 if sup.cls == BOT_ID else NormalForm.NF1
-        if (
-            isinstance(sup, Existential)
-            and isinstance(sup.filler, Atomic)
-            and sup.filler.cls != BOT_ID
-        ):
-            return NormalForm.NF3
-        return None
-    if isinstance(sub, Conjunction):
-        conjuncts = _flatten_conjunction(sub)
-        if len(conjuncts) == 2 and all(
-            isinstance(c, Atomic) and c.cls != BOT_ID for c in conjuncts
-        ):
-            if isinstance(sup, Atomic):
-                return NormalForm.BOT2 if sup.cls == BOT_ID else NormalForm.NF2
-        return None
-    if (
-        isinstance(sub, Existential)
-        and isinstance(sub.filler, Atomic)
-        and sub.filler.cls != BOT_ID
-    ):
-        if isinstance(sup, Atomic):
-            return NormalForm.BOT4 if sup.cls == BOT_ID else NormalForm.NF4
-    return None
+    found = _normal_form(axiom.sub, axiom.sup)
+    return None if found is None else found[0]
 
 
 def normalize(onto: Ontology) -> NormalizedTheory:
@@ -235,8 +248,9 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     # axiom  fresh < concept,  "sup" entries carry  concept < fresh.
     fresh_of: dict[tuple[str, Concept], int] = {}
     counter = 0
-    queue: deque[GCI] = deque(a for a in onto.axioms if isinstance(a, GCI))
-    seen: set[tuple] = set()
+    queue: deque[GCI] = deque(onto.axioms)
+    # each bucket beside the set that deduplicates it; NormalForm names the fields
+    buckets = {form: (getattr(theory, form.name.lower()), set()) for form in NormalForm}
 
     def fresh(concept: Concept, polarity: str) -> tuple[Atomic, bool]:
         nonlocal counter
@@ -249,54 +263,21 @@ def normalize(onto: Ontology) -> NormalizedTheory:
         fresh_of[key] = cid
         return Atomic(cid), True
 
-    def emit(form: NormalForm, entry: tuple) -> None:
-        key = (form, entry)
-        if key in seen:
-            return
-        seen.add(key)
-        bucket = {
-            NormalForm.NF1: theory.nf1,
-            NormalForm.NF2: theory.nf2,
-            NormalForm.NF3: theory.nf3,
-            NormalForm.NF4: theory.nf4,
-            NormalForm.BOT2: theory.bot2,
-            NormalForm.BOT4: theory.bot4,
-        }.get(form)
-        if form is NormalForm.BOT1:
-            theory.bot1.append(entry[0])
-        else:
-            bucket.append(entry)
-
     while queue:
         axiom = queue.popleft()
         sub, sup = axiom.sub, axiom.sup
+        found = _normal_form(sub, sup)
+        if found is not None:
+            form, entry = found
+            bucket, seen = buckets[form]
+            if entry not in seen:
+                seen.add(entry)
+                bucket.append(entry)
+            continue
+
         # Bot anywhere in a (purely positive) EL concept collapses it to Bot,
         # so the inclusion is a tautology.
         if _contains_bot(sub):
-            continue
-
-        form = classify_axiom(axiom)
-        if form is not None:
-            if form in (NormalForm.NF1, NormalForm.BOT1):
-                entry: tuple = (
-                    (sub.cls, sup.cls) if form is NormalForm.NF1 else (sub.cls,)
-                )
-            elif form in (NormalForm.NF2, NormalForm.BOT2):
-                left, right = _flatten_conjunction(sub)
-                entry = (
-                    (left.cls, right.cls, sup.cls)
-                    if form is NormalForm.NF2
-                    else (left.cls, right.cls)
-                )
-            elif form is NormalForm.NF3:
-                entry = (sub.cls, sup.relation, sup.filler.cls)
-            else:  # NF4 / BOT4
-                entry = (
-                    (sub.relation, sub.filler.cls, sup.cls)
-                    if form is NormalForm.NF4
-                    else (sub.relation, sub.filler.cls)
-                )
-            emit(form, entry)
             continue
 
         # (v) split conjunctions on the right
@@ -313,7 +294,7 @@ def normalize(onto: Ontology) -> NormalizedTheory:
             )
 
         # (iii) complex on both sides: route through a fresh middle class
-        if not _is_atomic(sub) and not _is_atomic(sup):
+        if not isinstance(sub, Atomic) and not isinstance(sup, Atomic):
             mid, is_new = fresh(sub, "sup")
             if is_new:
                 queue.appendleft(GCI(sub, mid))
@@ -341,7 +322,7 @@ def normalize(onto: Ontology) -> NormalizedTheory:
         # sub is a conjunction with an atomic right-hand side
         conjuncts = _flatten_conjunction(sub)
         complex_idx = next(
-            (i for i, c in enumerate(conjuncts) if not _is_atomic(c)), None
+            (i for i, c in enumerate(conjuncts) if not isinstance(c, Atomic)), None
         )
         if complex_idx is not None:
             # (i) replace the first complex conjunct with a fresh class

@@ -11,6 +11,10 @@ Concrete syntax, one axiom per line:
 ``some`` binds tighter than ``and``; ``and`` is left-associative;
 parentheses are accepted. ``#`` starts a comment at line start or after
 whitespace (so fresh names like ``N#0`` survive a round trip).
+
+Concept nodes are immutable and compare by value, so one node may be
+shared between axioms: ``dataio.build_dataset`` and
+``normalizer.eliminate_abox`` build one node per distinct concept.
 """
 
 from __future__ import annotations

@@ -75,8 +75,13 @@ def bma_similarity(
     classes2: Iterable[Hashable],
     pairwise: Callable[[Hashable, Hashable], float],
 ) -> float:
-    """Symmetric best-match average of pairwise class similarities."""
-    c1, c2 = list(classes1), list(classes2)
+    """Symmetric best-match average of pairwise class similarities.
+
+    Each side's best matches are summed over its classes in sorted order,
+    so the float result does not depend on the iteration order of a set,
+    which for strings changes with PYTHONHASHSEED.
+    """
+    c1, c2 = sorted(classes1), sorted(classes2)
     if not c1 or not c2:
         raise SemSimError("best-match average requires nonempty annotation sets")
     best1 = [max(pairwise(a, b) for b in c2) for a in c1]
@@ -165,7 +170,7 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
 
     Built once: a K×K float64 table of the measure over the K taxonomy nodes
     that annotate some entity (K²×8 bytes, 180 kB at K = 150), and per entity
-    a padded row of table columns in ``list(annotations[e])`` order, the
+    a padded row of table columns in ``sorted(annotations[e])`` order, the
     order ``bma_similarity`` sees. Each call then takes every best match with
     array maxima and adds them left to right from 0.0, as ``sum`` does, so
     its scores equal ``entity_similarity``'s bit for bit. Unannotated or
@@ -183,7 +188,7 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
     cols = np.full((len(entities) + 1, width), pad, dtype=np.intp)
     sizes = np.ones(len(entities) + 1, dtype=np.intp)
     for i, e in enumerate(entities):
-        row = [column[index.node_of[c]] for c in index.annotations[e]]
+        row = [column[index.node_of[c]] for c in sorted(index.annotations[e])]
         cols[i, : len(row)] = row
         sizes[i] = len(row)
     row_of = {e: i for i, e in enumerate(entities)}

@@ -20,7 +20,15 @@ from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.evaluation import entity_index
 from elball.family import FAMILY_KB
 from elball.normalizer import eliminate_abox, normalize
-from elball.ontology import format_axiom, format_ontology, parse_ontology
+from elball.ontology import (
+    GCI,
+    Atomic,
+    Existential,
+    Nominal,
+    format_axiom,
+    format_ontology,
+    parse_ontology,
+)
 
 
 def sample_embeddings(dim=2, n_classes=4, n_rels=1, seed=0):
@@ -224,6 +232,30 @@ class TestBuildDataset:
             assert f"{{{h}}} < {r} some {{{t}}}" in texts
         for h, r, t in split.test + split.valid:
             assert f"{{{h}}} < {r} some {{{t}}}" not in texts
+
+    ROWS = [(f"P{i}", f"P{(i + 1) % 6}", 900.0) for i in range(6)] + [("P0", "P3", 900.0)]
+    ANNOTS = [(f"P{i}", f"F{i % 2}") for i in range(6)] + [("P7", "F1")]
+
+    def test_concept_nodes_are_shared(self):
+        onto, _ = build_dataset(self.ROWS, self.ANNOTS, seed=1)
+        nominals = {
+            id(c) for a in onto.axioms for c in (a.sub, a.sup.filler) if isinstance(c, Nominal)
+        }
+        assert len(nominals) == len(onto.individuals)
+        assert len({id(a.sup) for a in onto.axioms}) == len({a.sup for a in onto.axioms})
+
+    def test_axioms_equal_independently_built_gcis(self):
+        onto, split = build_dataset(self.ROWS, self.ANNOTS, seed=1)
+        names = [n for h, _, t in split.train for n in (h, t)] + [e for e, _ in self.ANNOTS]
+        assert list(onto.individuals) == list(dict.fromkeys(names))
+        ind, rel = onto.individuals.id, onto.relations.id
+        expect = [
+            GCI(Nominal(ind(h)), Existential(rel(r), Nominal(ind(t)))) for h, r, t in split.train
+        ] + [
+            GCI(Nominal(ind(e)), Existential(rel("hasFunction"), Atomic(onto.classes.id(c))))
+            for e, c in self.ANNOTS
+        ]
+        assert onto.axioms == expect
 
     def test_round_trip_to_identical_theory(self):
         rows = [(f"P{i}", f"P{(i + 1) % 6}", 900.0) for i in range(6)]

@@ -55,6 +55,56 @@ def test_eliminate_nominals_in_gcis():
     assert axiom.sup.filler == Atomic(out.classes.id("{q}"))
 
 
+def test_eliminate_shares_one_atomic_per_nominal_class():
+    onto = parse_ontology("r(a, b)\nr(b, a)\n{a} : C and r some {b}\n{b} < s some {a}\n")
+    out = eliminate_abox(onto)
+    nodes: dict[int, set[int]] = {}
+
+    def walk(concept):
+        if isinstance(concept, Atomic):
+            nodes.setdefault(concept.cls, set()).add(id(concept))
+        elif isinstance(concept, Conjunction):
+            walk(concept.left)
+            walk(concept.right)
+        elif isinstance(concept, Existential):
+            walk(concept.filler)
+
+    for axiom in out.axioms:
+        walk(axiom.sub)
+        walk(axiom.sup)
+    assert len(nodes[out.classes.id("{a}")]) == 1
+    assert len(nodes[out.classes.id("{b}")]) == 1
+
+
+def test_abox_vocabulary_and_bucket_order():
+    """Class handles feed checkpoints, so their order is part of the contract."""
+    onto = parse_ontology(
+        "A < B\n"
+        "r(b, a)\n"
+        "{c} : A and r some {b}\n"
+        "{a} < r some {d}\n"
+        "s some {c} < B\n"
+        "{d} < r some ({a} and B)\n"
+        "r(b, a)\n"
+        "{a} : Bot\n"
+        "{b} and {c} < Bot\n"
+        "s some {d} < Bot\n"
+    )
+    theory = normalize(eliminate_abox(onto))
+    assert list(theory.classes) == ["Top", "Bot", "A", "B", "{b}", "{a}", "{c}", "{d}", "N#0"]
+    assert list(theory.relations) == ["r", "s"]
+    A, B, b, a, c, d, n0 = 2, 3, 4, 5, 6, 7, 8
+    r, s = 0, 1
+    assert theory.nf1 == [(A, B), (c, A), (n0, a), (n0, B)]
+    assert theory.nf2 == []
+    assert theory.nf3 == [(b, r, a), (c, r, b), (a, r, d), (d, r, n0)]
+    assert theory.nf4 == [(s, c, B)]
+    assert theory.bot1 == [a]
+    assert theory.bot2 == [(b, c)]
+    assert theory.bot4 == [(s, d)]
+    assert theory.fresh == {n0}
+
+
 def test_classify_normal_forms():
     onto = parse_ontology(
         "Parent < hasChild some Top\n"

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +198,41 @@ def test_score_fn_equals_scalar_bma_bitwise(seed, measure):
 def test_score_fn_rejects_unknown_measure_at_construction(chain):
     with pytest.raises(SemSimError):
         semsim_score_fn(chain, "cosine")
+
+
+SCORE_EVERY_PAIR = """
+import numpy as np
+from elball.semsim import build_taxonomy, semsim_score_fn
+
+rng = np.random.default_rng(3)
+classes = [f"C{i}" for i in range(40)]
+edges = [(classes[i], classes[int(rng.integers(i))]) for i in range(1, 40)]
+annotations = {
+    f"E{k}": {classes[i] for i in rng.choice(40, size=8, replace=False)} for k in range(20)
+}
+index = build_taxonomy(edges, annotations)
+entities = sorted(annotations)
+for measure in ("resnik", "lin"):
+    fn = semsim_score_fn(index, measure)
+    for head in entities:
+        print(np.asarray(fn(head, "r", entities)).tobytes().hex())
+        print(np.array([index.entity_similarity(head, t, measure) for t in entities]).tobytes().hex())
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def scores(hash_seed: str) -> list[str]:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", SCORE_EVERY_PAIR],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return proc.stdout.splitlines()
+
+    first, second = scores("1"), scores("2")
+    assert len(first) == 2 * 2 * 20
+    assert first == second
+    # the table scorer and the scalar BMA agree bit for bit in each process
+    assert first[0::2] == first[1::2]
