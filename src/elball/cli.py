@@ -14,15 +14,19 @@ from .dataio import Checkpoint, load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingSet, TOP_RADIUS
 from .evaluation import embedding_score_fn, ranking_report
 from .geometry import check_model
-from .normalizer import NormalizedTheory, eliminate_abox, normalize
-from .ontology import format_axiom, parse_ontology
+from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
+from .ontology import OntologyError, format_ontology, parse_ontology
 from .trainer import TrainConfig, train
 
 
 def _load_theory(path: str) -> NormalizedTheory:
     with open(path) as fh:
-        onto = parse_ontology(fh.read())
-    return normalize(eliminate_abox(onto))
+        text = fh.read()
+    try:
+        return normalize(eliminate_abox(parse_ontology(text)))
+    except (OntologyError, NormalizationError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -57,15 +61,10 @@ def align_embeddings(ckpt: Checkpoint, theory: NormalizedTheory) -> EmbeddingSet
 
 def cmd_normalize(args) -> int:
     theory = _load_theory(args.input)
-    onto = theory.as_ontology()
-    counts = theory.counts()
+    names = theory.names()
     lines = []
-    offset = 0
-    formatted = [format_axiom(a, onto) for a in onto.axioms]
-    for name in ("NF1", "NF2", "NF3", "NF4", "Bot1", "Bot2", "Bot4"):
-        lines.append(f"# {name}")
-        lines.extend(formatted[offset : offset + counts[name]])
-        offset += counts[name]
+    for form in NormalForm:
+        lines += [f"# {form.value}", *form.format(theory.handles(form), names)]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -151,8 +150,6 @@ def cmd_ingest(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .ontology import format_ontology
-
     (out_dir / "ontology.el").write_text(format_ontology(onto))
     dataio.write_split(split, out_dir)
     print(

@@ -21,6 +21,8 @@ from .ontology import (
 )
 
 CHECKPOINT_VERSION = 1
+FUNCTION_RELATION = "hasFunction"  # links an entity to each of its annotations
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, valid, test
 
 
 class DataError(Exception):
@@ -115,30 +117,33 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     for key in ("version", "metadata", "classes", "relations"):
         if key not in payload:
             raise CheckpointError(f"corrupt checkpoint {path}: missing {key!r}")
+        if key != "version" and not isinstance(payload[key], dict):
+            raise CheckpointError(f"corrupt checkpoint {path}: {key!r} is not a JSON object")
     if payload["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {payload['version']} != supported {CHECKPOINT_VERSION}"
+            f"checkpoint {path}: version {payload['version']} != supported {CHECKPOINT_VERSION}"
         )
     dim = payload["metadata"].get("dim")
     if expect_dim is not None and dim != expect_dim:
-        raise CheckpointError(f"checkpoint dimension {dim} != requested {expect_dim}")
+        raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
     class_names = list(payload["classes"])
     relation_names = list(payload["relations"])
-    centers = np.asarray(
-        [payload["classes"][n]["center"] for n in class_names], dtype=np.float64
-    ).reshape(len(class_names), -1)
-    radii = np.asarray(
-        [payload["classes"][n]["radius"] for n in class_names], dtype=np.float64
-    )
-    rels = (
-        np.asarray([payload["relations"][n] for n in relation_names], dtype=np.float64)
-        .reshape(len(relation_names), -1)
-        if relation_names
-        else np.zeros((0, centers.shape[1]))
-    )
+    try:
+        centers = np.asarray(
+            [payload["classes"][n]["center"] for n in class_names], dtype=np.float64
+        ).reshape(len(class_names), -1)
+        radii = np.asarray([float(payload["classes"][n]["radius"]) for n in class_names])
+        rels = (
+            np.asarray([payload["relations"][n] for n in relation_names], dtype=np.float64)
+            .reshape(len(relation_names), -1)
+            if relation_names
+            else np.zeros((0, centers.shape[1]))
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload) or exc}") from None
     if centers.shape[1] != dim or (relation_names and rels.shape[1] != dim):
-        raise CheckpointError(f"vector length disagrees with metadata dim {dim}")
+        raise CheckpointError(f"checkpoint {path}: vector length disagrees with metadata dim {dim}")
     bad = _first_nonfinite(centers, radii, rels, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad} holds a NaN or ±inf")
@@ -146,11 +151,33 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     try:
         top = class_names.index("Top")
     except ValueError:
-        raise CheckpointError("checkpoint has no 'Top' class") from None
+        raise CheckpointError(f"checkpoint {path} has no 'Top' class") from None
     bot = class_names.index("Bot") if "Bot" in class_names else top
 
     e = EmbeddingSet(centers, radii, rels, top=top, bot=bot)
     return Checkpoint(e, class_names, relation_names, payload["metadata"])
+
+
+def _bad_entry(payload: dict) -> str | None:
+    """The first class or relation entry that is not a flat numeric vector
+    shaped like the first (a class also needs a numeric radius), and why."""
+    shape = None
+    for kind, table in (("class", payload["classes"]), ("relation", payload["relations"])):
+        for name, entry in table.items():
+            where = f"{kind} {name!r}"
+            try:
+                if kind == "class":
+                    float(entry["radius"])
+                    entry = entry["center"]
+                vector = np.asarray(entry, dtype=np.float64)
+            except KeyError as exc:
+                return f"{where} has no {exc}"
+            except (TypeError, ValueError) as exc:
+                return f"{where} is malformed: {exc}"
+            shape = vector.shape if shape is None else shape
+            if vector.ndim != 1 or vector.shape != shape:
+                return f"{where} has a vector of shape {vector.shape}, not {shape}"
+    return None
 
 
 # --- ingestion -----------------------------------------------------------
@@ -188,16 +215,14 @@ def read_annotations_tsv(path: str | Path) -> list[tuple[str, str]]:
     return rows
 
 
-def split_pairs(
-    pairs: list[tuple[str, str]], seed: int, ratios=(0.8, 0.1, 0.1)
-) -> tuple[list, list, list]:
-    """Deterministic shuffled split; leftovers from flooring go to test."""
+def split_pairs(pairs: list[tuple[str, str]], seed: int) -> tuple[list, list, list]:
+    """Deterministic shuffled ``SPLIT_RATIOS`` split; leftovers from flooring go to test."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pairs))
     shuffled = [pairs[i] for i in order]
     n = len(pairs)
-    n_train = int(ratios[0] * n)
-    n_valid = int(ratios[1] * n)
+    n_train = int(SPLIT_RATIOS[0] * n)
+    n_valid = int(SPLIT_RATIOS[1] * n)
     return (
         shuffled[:n_train],
         shuffled[n_train : n_train + n_valid],
@@ -211,16 +236,15 @@ def build_dataset(
     min_confidence: float = 700.0,
     seed: int = 0,
     relation: str = "interacts",
-    function_relation: str = "hasFunction",
     symmetric: bool = True,
-    ratios=(0.8, 0.1, 0.1),
 ) -> tuple[Ontology, LinkSplit]:
     """Turn interaction pairs and annotations into axioms plus an 80/10/10 split.
 
     Pairs below the confidence threshold are dropped, then reciprocal
     duplicates are collapsed; after splitting, pairs are re-symmetrized as
     two directed triples/axioms when ``symmetric`` is set. Only the train
-    portion of the interactions becomes axioms; annotations always do.
+    portion of the interactions becomes axioms; annotations always do,
+    through ``FUNCTION_RELATION``.
     """
     kept = [(a, b) for a, b, conf in pair_rows if conf >= min_confidence]
     seen = set()
@@ -231,7 +255,7 @@ def build_dataset(
             seen.add(canonical)
             unique.append(canonical)
 
-    train_pairs, valid_pairs, test_pairs = split_pairs(unique, seed, ratios)
+    train_pairs, valid_pairs, test_pairs = split_pairs(unique, seed)
 
     def directed(pairs):
         out = []
@@ -251,7 +275,7 @@ def build_dataset(
     # individual and one Existential per (relation, filler).
     onto = Ontology()
     rel_id = onto.relations.intern(relation)
-    fn_rel_id = onto.relations.intern(function_relation)
+    fn_rel_id = onto.relations.intern(FUNCTION_RELATION)
     nominals: dict[str, Nominal] = {}
 
     def nominal(name: str) -> Nominal:
@@ -287,18 +311,10 @@ def ingest(
     min_confidence: float = 700.0,
     seed: int = 0,
     relation: str = "interacts",
-    function_relation: str = "hasFunction",
     symmetric: bool = True,
 ) -> tuple[Ontology, LinkSplit]:
-    return build_dataset(
-        read_pairs_tsv(pairs_file),
-        read_annotations_tsv(annotations_file),
-        min_confidence=min_confidence,
-        seed=seed,
-        relation=relation,
-        function_relation=function_relation,
-        symmetric=symmetric,
-    )
+    pairs, annotations = read_pairs_tsv(pairs_file), read_annotations_tsv(annotations_file)
+    return build_dataset(pairs, annotations, min_confidence, seed, relation, symmetric)
 
 
 def write_split(split: LinkSplit, out_dir: str | Path) -> None:

@@ -1,7 +1,7 @@
 """n-ball primitives, the two-ball intersection enclosure, and the model checker.
 
 The checker reads each normal form but NF2 from the first row of its loss in
-``losses._FORMS``, at gamma = 0 and without unit-sphere terms: a violation is
+``losses._ROWS``, at gamma = 0 and without unit-sphere terms: a violation is
 that row's hinge argument floored at 0 (containment, disjointness, a zero
 radius; NF4's overlap hinge is reported but does not bind). NF2 asks the exact
 enclosure of its operands' intersection to lie in the right-hand ball. Balls
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import losses
 from .embeddings import EmbeddingSet
-from .normalizer import NormalizedTheory
+from .normalizer import NormalForm, NormalizedTheory
 
 
 class GeometryError(Exception):
@@ -136,46 +136,35 @@ class ModelReport:
 
 _BLOCK = 1024  # axioms evaluated at once; bounds the gathered rows' memory
 
-# an axiom's text, operands in its bucket's column order
-_TEXT = {
-    "NF1": "{0} < {1}",
-    "NF2": "{0} and {1} < {2}",
-    "NF3": "{0} < {1} some {2}",
-    "NF4": "{0} some {1} < {2}",
-    "Bot1": "{0} < Bot",
-    "Bot2": "{0} and {1} < Bot",
-    "Bot4": "{0} some {1} < Bot",
-}
-
 # Top's rules over a block's columns x and their Top flags t: the rows that
 # read inf (a left-hand side of Top), then those that read 0 (they always hold)
 _TOP_RULES = {
-    "NF1": lambda x, t: (t[0], t[1] | (x[0] == x[1])),
-    "NF2": lambda x, t: (t[0] & t[1], t[2]),
-    "NF3": lambda x, t: (t[0], t[2]),
-    "NF4": lambda x, t: (False, False),
-    "Bot1": lambda x, t: (t[0], False),
-    "Bot2": lambda x, t: (t[0] | t[1], False),
-    "Bot4": lambda x, t: (t[1], False),
+    NormalForm.NF1: lambda x, t: (t[0], t[1] | (x[0] == x[1])),
+    NormalForm.NF2: lambda x, t: (t[0] & t[1], t[2]),
+    NormalForm.NF3: lambda x, t: (t[0], t[2]),
+    NormalForm.NF4: lambda x, t: (False, False),
+    NormalForm.BOT1: lambda x, t: (t[0], False),
+    NormalForm.BOT2: lambda x, t: (t[0] | t[1], False),
+    NormalForm.BOT4: lambda x, t: (t[1], False),
 }
 
 # forms reported without a verdict: NF4's overlap hinge does not entail the
 # subsumption it stands for
-_INFORMATIONAL = ("NF4",)
+_INFORMATIONAL = (NormalForm.NF4,)
 
 
-def _violations(form: str, bucket: str, block: np.ndarray, e: EmbeddingSet) -> np.ndarray:
+def _violations(form: NormalForm, block: np.ndarray, e: EmbeddingSet) -> np.ndarray:
     """Violations of one block of a bucket's rows, Top's rules applied."""
     x = block.T
     C, r = e.class_centers, e.class_radii
     # Top's sentinel radius and non-finite operands can overflow; the masks
     # decide those rows
     with np.errstate(over="ignore", invalid="ignore"):
-        if form == "NF2":
+        if form is NormalForm.NF2:
             kind, center, radius = _enclosures(C[x[0]], r[x[0]], C[x[1]], r[x[1]])
             v = np.where(kind == _DISJOINT, 0.0, _norm(center - C[x[2]]) + radius - r[x[2]])
         else:
-            batch = losses.LossBatch(gamma=0.0, **{bucket: block})
+            batch = losses.LossBatch(gamma=0.0, **{form.field: block})
             v = losses._forward(batch, e)[-1][: len(block)]  # the form's first row
         inf, zero = _TOP_RULES[form](x, x == e.top)
         return np.where(zero, 0.0, np.where(inf, math.inf, np.maximum(v, 0.0)))
@@ -191,28 +180,24 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
     """
     finite = {"c": np.isfinite(e.class_centers).all(axis=1) & np.isfinite(e.class_radii)}
     finite["r"] = np.isfinite(e.rel_vectors).all(axis=1)
-    names = {"c": np.array(list(theory.classes), dtype=object)}
-    names["r"] = np.array(list(theory.relations), dtype=object)
+    names = theory.names()
     report = ModelReport(tolerance=tol)
-    for form, bucket, spec, _ in losses._FORMS:
-        if form not in _TEXT:
-            continue
-        axioms = getattr(theory, bucket)
-        rows = np.asarray(axioms, dtype=np.intp).reshape(len(axioms), len(spec))
+    for form in NormalForm:
+        rows = theory.handles(form)
         ok = np.ones(len(rows), dtype=bool)
-        for kind, col in zip(spec, rows.T):
+        for kind, col in zip(form.kinds, rows.T):
             bad = col >= len(finite[kind])
             if bad.any():
                 what = "class" if kind == "c" else "relation"
                 raise GeometryError(f"no embedding for {what} {names[kind][col[bad.argmax()]]!r}")
             ok &= finite[kind][col]
-        v = [_violations(form, bucket, rows[i : i + _BLOCK], e) for i in range(0, len(rows), _BLOCK)]
+        v = [_violations(form, rows[i : i + _BLOCK], e) for i in range(0, len(rows), _BLOCK)]
         v = np.where(ok, np.concatenate(v or [[]]), math.inf)
-        words = zip(*(names[kind][col] for kind, col in zip(spec, rows.T)))
-        text, informational = _TEXT[form].format, form in _INFORMATIONAL
-        axioms = [(c,) for c in axioms] if len(spec) == 1 else axioms
+        axioms = getattr(theory, form.field)
+        axioms = [(c,) for c in axioms] if len(form.kinds) == 1 else axioms
+        label, informational = form.value, form in _INFORMATIONAL
         report.checks += [
-            AxiomCheck(form, axiom, text(*w), bool(x <= tol), x, informational)
-            for axiom, w, x in zip(axioms, words, v.tolist())
+            AxiomCheck(label, axiom, text, bool(x <= tol), x, informational)
+            for axiom, text, x in zip(axioms, form.format(rows, names), v.tolist())
         ]
     return report

@@ -31,50 +31,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingSet, table_views
-from .normalizer import NormalizedTheory
+from .normalizer import NormalForm, NormalizedTheory
 
 
 class MissingSymbolError(Exception):
     pass
 
 
-def _empty(width: int) -> np.ndarray:
-    return np.zeros((0, width) if width > 1 else 0, dtype=np.intp)
+def _rows(entries, width: int) -> np.ndarray:
+    """Handle rows as an (n, width) array, or a flat one when width is 1."""
+    return np.asarray(entries, dtype=np.intp).reshape((-1, width) if width > 1 else -1)
 
 
 @dataclass
 class LossBatch:
-    """Index tuples per normal form; layouts match NormalizedTheory buckets.
-
-    nf3/neg rows are (C, r, D); nf4 rows are (r, C, D); bot4 rows are (r, C).
-    """
+    """Handle rows per normal form, laid out as NormalizedTheory's buckets,
+    and corrupted NF3 rows as ``neg``."""
 
     gamma: float
-    nf1: np.ndarray = field(default_factory=lambda: _empty(2))
-    nf2: np.ndarray = field(default_factory=lambda: _empty(3))
-    nf3: np.ndarray = field(default_factory=lambda: _empty(3))
-    nf4: np.ndarray = field(default_factory=lambda: _empty(3))
-    bot1: np.ndarray = field(default_factory=lambda: _empty(1))
-    bot2: np.ndarray = field(default_factory=lambda: _empty(2))
-    bot4: np.ndarray = field(default_factory=lambda: _empty(2))
-    neg: np.ndarray = field(default_factory=lambda: _empty(3))
+    nf1: np.ndarray = field(default_factory=lambda: _rows((), 2))
+    nf2: np.ndarray = field(default_factory=lambda: _rows((), 3))
+    nf3: np.ndarray = field(default_factory=lambda: _rows((), 3))
+    nf4: np.ndarray = field(default_factory=lambda: _rows((), 3))
+    bot1: np.ndarray = field(default_factory=lambda: _rows((), 1))
+    bot2: np.ndarray = field(default_factory=lambda: _rows((), 2))
+    bot4: np.ndarray = field(default_factory=lambda: _rows((), 2))
+    neg: np.ndarray = field(default_factory=lambda: _rows((), 3))
 
     @classmethod
     def from_theory(cls, theory: NormalizedTheory, gamma: float, negatives=()) -> "LossBatch":
-        def arr(rows, width):
-            return np.asarray(rows, dtype=np.intp).reshape(-1, width) if rows else _empty(width)
-
-        return cls(
-            gamma=gamma,
-            nf1=arr(theory.nf1, 2),
-            nf2=arr(theory.nf2, 3),
-            nf3=arr(theory.nf3, 3),
-            nf4=arr(theory.nf4, 3),
-            bot1=np.asarray(theory.bot1, dtype=np.intp),
-            bot2=arr(theory.bot2, 2),
-            bot4=arr(theory.bot4, 2),
-            neg=arr(list(negatives), 3),
-        )
+        rows = {f.field: _rows(getattr(theory, f.field), len(f.kinds)) for f in NormalForm}
+        return cls(gamma=gamma, neg=_rows(list(negatives), 3), **rows)
 
 
 @dataclass
@@ -99,29 +86,28 @@ class Gradient:
 # with the smaller radius, a tie going to r(c).
 _TOP, _SMALLER = -1, -2
 
-# bucket, LossBatch field, handle columns ("c" class, "r" relation), rows.
-# A row is (a, b, q, s, ((h1, k1), (h2, k2)), (sphere a, sphere b)), where
-# a, b, h1 and h2 are column numbers and q applies the form's relation.
-_FORMS = (
-    ("NF1", "nf1", "cc", [(0, 1, 0, 1, ((0, 1), (1, -1)), (1, 1))]),
-    (
-        "NF2",
-        "nf2",
-        "ccc",
-        [
-            (0, 1, 0, 1, ((0, -1), (1, -1)), (1, 1)),
-            (0, 2, 0, 1, ((0, -1), (0, 0)), (0, 1)),
-            # the printed objective reuses r(c), not r(d), in the third term
-            (1, 2, 0, 1, ((0, -1), (0, 0)), (0, 0)),
-            (_TOP, _TOP, 0, 1, ((_SMALLER, 1), (2, -1)), (0, 0)),
-        ],
-    ),
-    ("NF3", "nf3", "crc", [(0, 2, 1, 1, ((0, 1), (2, -1)), (1, 1))]),
-    ("NF4", "nf4", "rcc", [(1, 2, -1, 1, ((1, -1), (2, -1)), (1, 1))]),
-    ("Bot1", "bot1", "c", [(_TOP, _TOP, 0, 0, ((0, 1), (0, 0)), (0, 0))]),
-    ("Bot2", "bot2", "cc", [(0, 1, 0, -1, ((0, 1), (1, 1)), (1, 1))]),
+# Each form's rows. A row is (a, b, q, s, ((h1, k1), (h2, k2)), (sphere a,
+# sphere b)), where a, b, h1 and h2 are operand columns of the form's
+# ``NormalForm.kinds`` and q applies the form's relation.
+_ROWS = {
+    NormalForm.NF1: [(0, 1, 0, 1, ((0, 1), (1, -1)), (1, 1))],
+    NormalForm.NF2: [
+        (0, 1, 0, 1, ((0, -1), (1, -1)), (1, 1)),
+        (0, 2, 0, 1, ((0, -1), (0, 0)), (0, 1)),
+        # the printed objective reuses r(c), not r(d), in the third term
+        (1, 2, 0, 1, ((0, -1), (0, 0)), (0, 0)),
+        (_TOP, _TOP, 0, 1, ((_SMALLER, 1), (2, -1)), (0, 0)),
+    ],
+    NormalForm.NF3: [(0, 2, 1, 1, ((0, 1), (2, -1)), (1, 1))],
+    NormalForm.NF4: [(1, 2, -1, 1, ((1, -1), (2, -1)), (1, 1))],
+    NormalForm.BOT1: [(_TOP, _TOP, 0, 0, ((0, 1), (0, 0)), (0, 0))],
+    NormalForm.BOT2: [(0, 1, 0, -1, ((0, 1), (1, 1)), (1, 1))],
     # the relation is checked but does not enter the loss
-    ("Bot4", "bot4", "rc", [(_TOP, _TOP, 0, 0, ((1, 1), (1, 0)), (0, 0))]),
+    NormalForm.BOT4: [(_TOP, _TOP, 0, 0, ((1, 1), (1, 0)), (0, 0))],
+}
+# (label, LossBatch field, operand kinds, rows) of every bucket, the
+# negatives last
+_FORMS = tuple((f.value, f.field, f.kinds, _ROWS[f]) for f in NormalForm) + (
     ("neg", "neg", "crc", [(0, 2, 1, -1, ((0, 1), (2, 1)), (1, 1))]),
 )
 # forms that add their relation come first, then those that subtract it,

@@ -1,14 +1,8 @@
 """ABox elimination and rewriting into the four EL++ normal forms.
 
 The bottom forms are split out into their own buckets, so a normalized
-theory ends up with seven:
-
-    NF1   C < D             BOT1  C < Bot
-    NF2   C and D < E       BOT2  C and D < Bot
-    NF3   C < r some D
-    NF4   r some C < D      BOT4  r some C < Bot
-
-where every argument is an atomic class (possibly fresh or nominal-derived).
+theory ends up with the seven of ``NormalForm``, where every argument is an
+atomic class (possibly fresh or nominal-derived).
 """
 
 from __future__ import annotations
@@ -17,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .ontology import (
     BOT,
@@ -46,24 +42,39 @@ class UnsupportedAxiomError(NormalizationError):
 
 
 class NormalForm(Enum):
-    NF1 = "NF1"
-    NF2 = "NF2"
-    NF3 = "NF3"
-    NF4 = "NF4"
-    BOT1 = "Bot1"
-    BOT2 = "Bot2"
-    BOT4 = "Bot4"
+    """The seven buckets. A member's value is its label, ``field`` its bucket
+    in NormalizedTheory and LossBatch, ``kinds`` its operand columns ("c"
+    class, "r" relation) and ``text`` its axiom over their names."""
+
+    NF1 = ("NF1", "nf1", "cc", "{0} < {1}")
+    NF2 = ("NF2", "nf2", "ccc", "{0} and {1} < {2}")
+    NF3 = ("NF3", "nf3", "crc", "{0} < {1} some {2}")
+    NF4 = ("NF4", "nf4", "rcc", "{0} some {1} < {2}")
+    BOT1 = ("Bot1", "bot1", "c", "{0} < Bot")
+    BOT2 = ("Bot2", "bot2", "cc", "{0} and {1} < Bot")
+    BOT4 = ("Bot4", "bot4", "rc", "{0} some {1} < Bot")
+
+    def __new__(cls, label: str, bucket: str, kinds: str, text: str):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.field, member.kinds, member.text = bucket, kinds, text
+        return member
 
     # members are singletons compared by identity; Enum's own hash runs in Python
     __hash__ = object.__hash__
+
+    def format(self, rows: np.ndarray, names: dict[str, np.ndarray]) -> list[str]:
+        """The text of each row of operand handles, one column per operand;
+        ``names`` maps each kind to its handle -> name array."""
+        return list(map(self.text.format, *(names[k][col] for k, col in zip(self.kinds, rows.T))))
 
 
 @dataclass
 class NormalizedTheory:
     """Seven disjoint axiom buckets over an augmented class vocabulary.
 
-    NF3 tuples are (C, r, D) for C < r some D; NF4 tuples are (r, C, D)
-    for r some C < D; BOT4 tuples are (r, C).
+    An entry holds its form's operand handles in ``NormalForm.kinds`` order,
+    e.g. (r, C, D) for NF4's r some C < D; a Bot1 entry is the bare class.
     """
 
     classes: Vocabulary
@@ -77,24 +88,18 @@ class NormalizedTheory:
     bot4: list[tuple[int, int]] = field(default_factory=list)
     fresh: set[int] = field(default_factory=set)
 
-    @property
-    def nominal_classes(self) -> set[int]:
-        return {
-            cid
-            for cid, name in enumerate(self.classes)
-            if name.startswith("{") and name.endswith("}")
-        }
-
     def counts(self) -> dict[str, int]:
-        return {
-            "NF1": len(self.nf1),
-            "NF2": len(self.nf2),
-            "NF3": len(self.nf3),
-            "NF4": len(self.nf4),
-            "Bot1": len(self.bot1),
-            "Bot2": len(self.bot2),
-            "Bot4": len(self.bot4),
-        }
+        return {form.value: len(getattr(self, form.field)) for form in NormalForm}
+
+    def handles(self, form: NormalForm) -> np.ndarray:
+        """The form's bucket as an array of handles, one row per axiom."""
+        entries = getattr(self, form.field)
+        return np.asarray(entries, dtype=np.intp).reshape(len(entries), len(form.kinds))
+
+    def names(self) -> dict[str, np.ndarray]:
+        """Handle -> name arrays of the classes ("c") and relations ("r")."""
+        vocabularies = (("c", self.classes), ("r", self.relations))
+        return {kind: np.array(list(v), dtype=object) for kind, v in vocabularies}
 
     def n_axioms(self) -> int:
         return sum(self.counts().values())
@@ -233,14 +238,9 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     Fresh classes are drawn from the "N#<k>" namespace in introduction
     order; identical complex subconcepts reuse the same fresh name within
     one run (per rewriting polarity). Axioms whose left-hand side contains
-    Bot are dropped as tautologies; duplicates are deduplicated.
+    Bot are dropped as tautologies; duplicates are deduplicated. A
+    NormalizationError names the line of the input axiom it arose from.
     """
-    for axiom in onto.axioms:
-        if not isinstance(axiom, GCI):
-            raise NormalizationError(
-                "ontology still contains ABox axioms; run eliminate_abox first"
-            )
-
     theory = NormalizedTheory(
         classes=onto.classes.copy(), relations=onto.relations.copy()
     )
@@ -248,9 +248,8 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     # axiom  fresh < concept,  "sup" entries carry  concept < fresh.
     fresh_of: dict[tuple[str, Concept], int] = {}
     counter = 0
-    queue: deque[GCI] = deque(onto.axioms)
-    # each bucket beside the set that deduplicates it; NormalForm names the fields
-    buckets = {form: (getattr(theory, form.name.lower()), set()) for form in NormalForm}
+    # each bucket beside the set that deduplicates it
+    buckets = {form: (getattr(theory, form.field), set()) for form in NormalForm}
 
     def fresh(concept: Concept, polarity: str) -> tuple[Atomic, bool]:
         nonlocal counter
@@ -263,83 +262,94 @@ def normalize(onto: Ontology) -> NormalizedTheory:
         fresh_of[key] = cid
         return Atomic(cid), True
 
-    while queue:
-        axiom = queue.popleft()
-        sub, sup = axiom.sub, axiom.sup
-        found = _normal_form(sub, sup)
-        if found is not None:
-            form, entry = found
-            bucket, seen = buckets[form]
-            if entry not in seen:
-                seen.add(entry)
-                bucket.append(entry)
-            continue
+    queue: deque[GCI] = deque()  # one input axiom's rewrites, depth first
+    for axiom, (line, _) in zip(onto.axioms, onto.positions):
+        try:
+            if not isinstance(axiom, GCI):
+                raise NormalizationError(
+                    "ontology still contains ABox axioms; run eliminate_abox first"
+                )
+            queue.append(axiom)
+            while queue:
+                axiom = queue.popleft()
+                sub, sup = axiom.sub, axiom.sup
+                found = _normal_form(sub, sup)
+                if found is not None:
+                    form, entry = found
+                    bucket, seen = buckets[form]
+                    if entry not in seen:
+                        seen.add(entry)
+                        bucket.append(entry)
+                    continue
 
-        # Bot anywhere in a (purely positive) EL concept collapses it to Bot,
-        # so the inclusion is a tautology.
-        if _contains_bot(sub):
-            continue
+                # Bot anywhere in a (purely positive) EL concept collapses it to Bot,
+                # so the inclusion is a tautology.
+                if _contains_bot(sub):
+                    continue
 
-        # (v) split conjunctions on the right
-        if isinstance(sup, Conjunction):
-            queue.appendleft(GCI(sub, sup.right))
-            queue.appendleft(GCI(sub, sup.left))
-            continue
+                # (v) split conjunctions on the right
+                if isinstance(sup, Conjunction):
+                    queue.appendleft(GCI(sub, sup.right))
+                    queue.appendleft(GCI(sub, sup.left))
+                    continue
 
-        # Bot on the right in a non-normal position
-        if isinstance(sup, Existential) and _contains_bot(sup):
-            raise UnsupportedAxiomError(
-                "no normal form exists for Bot inside an existential filler "
-                "on the right-hand side"
-            )
+                # Bot on the right in a non-normal position
+                if isinstance(sup, Existential) and _contains_bot(sup):
+                    raise UnsupportedAxiomError(
+                        "no normal form exists for Bot inside an existential filler "
+                        "on the right-hand side"
+                    )
 
-        # (iii) complex on both sides: route through a fresh middle class
-        if not isinstance(sub, Atomic) and not isinstance(sup, Atomic):
-            mid, is_new = fresh(sub, "sup")
-            if is_new:
-                queue.appendleft(GCI(sub, mid))
-            queue.appendleft(GCI(mid, sup))
-            continue
+                # (iii) complex on both sides: route through a fresh middle class
+                if not isinstance(sub, Atomic) and not isinstance(sup, Atomic):
+                    mid, is_new = fresh(sub, "sup")
+                    if is_new:
+                        queue.appendleft(GCI(sub, mid))
+                    queue.appendleft(GCI(mid, sup))
+                    continue
 
-        if isinstance(sub, Atomic):
-            # (iv) C < r some D-hat with complex filler
-            if isinstance(sup, Existential):
-                filler, is_new = fresh(sup.filler, "sub")
-                queue.appendleft(GCI(sub, Existential(sup.relation, filler)))
-                if is_new:
-                    queue.appendleft(GCI(filler, sup.filler))
-                continue
-            raise NormalizationError(f"cannot normalize axiom {axiom!r}")
+                if isinstance(sub, Atomic):
+                    # (iv) C < r some D-hat with complex filler
+                    if isinstance(sup, Existential):
+                        filler, is_new = fresh(sup.filler, "sub")
+                        queue.appendleft(GCI(sub, Existential(sup.relation, filler)))
+                        if is_new:
+                            queue.appendleft(GCI(filler, sup.filler))
+                        continue
+                    raise NormalizationError(f"cannot normalize axiom {axiom!r}")
 
-        if isinstance(sub, Existential):
-            # (ii) r some C-hat < D with complex filler
-            filler, is_new = fresh(sub.filler, "sup")
-            if is_new:
-                queue.appendleft(GCI(sub.filler, filler))
-            queue.appendleft(GCI(Existential(sub.relation, filler), sup))
-            continue
+                if isinstance(sub, Existential):
+                    # (ii) r some C-hat < D with complex filler
+                    filler, is_new = fresh(sub.filler, "sup")
+                    if is_new:
+                        queue.appendleft(GCI(sub.filler, filler))
+                    queue.appendleft(GCI(Existential(sub.relation, filler), sup))
+                    continue
 
-        # sub is a conjunction with an atomic right-hand side
-        conjuncts = _flatten_conjunction(sub)
-        complex_idx = next(
-            (i for i, c in enumerate(conjuncts) if not isinstance(c, Atomic)), None
-        )
-        if complex_idx is not None:
-            # (i) replace the first complex conjunct with a fresh class
-            replacement, is_new = fresh(conjuncts[complex_idx], "sup")
-            if is_new:
-                queue.appendleft(GCI(conjuncts[complex_idx], replacement))
-            conjuncts[complex_idx] = replacement
-        else:
-            # more than two atomic conjuncts: fold the first pair
-            pair = Conjunction(conjuncts[0], conjuncts[1])
-            replacement, is_new = fresh(pair, "sup")
-            if is_new:
-                queue.appendleft(GCI(pair, replacement))
-            conjuncts = [replacement] + conjuncts[2:]
-        rebuilt = conjuncts[0]
-        for c in conjuncts[1:]:
-            rebuilt = Conjunction(rebuilt, c)
-        queue.appendleft(GCI(rebuilt, sup))
-
+                # sub is a conjunction with an atomic right-hand side
+                conjuncts = _flatten_conjunction(sub)
+                complex_idx = next(
+                    (i for i, c in enumerate(conjuncts) if not isinstance(c, Atomic)), None
+                )
+                if complex_idx is not None:
+                    # (i) replace the first complex conjunct with a fresh class
+                    replacement, is_new = fresh(conjuncts[complex_idx], "sup")
+                    if is_new:
+                        queue.appendleft(GCI(conjuncts[complex_idx], replacement))
+                    conjuncts[complex_idx] = replacement
+                else:
+                    # more than two atomic conjuncts: fold the first pair
+                    pair = Conjunction(conjuncts[0], conjuncts[1])
+                    replacement, is_new = fresh(pair, "sup")
+                    if is_new:
+                        queue.appendleft(GCI(pair, replacement))
+                    conjuncts = [replacement] + conjuncts[2:]
+                rebuilt = conjuncts[0]
+                for c in conjuncts[1:]:
+                    rebuilt = Conjunction(rebuilt, c)
+                queue.appendleft(GCI(rebuilt, sup))
+        except NormalizationError as exc:
+            if line:  # axioms built in code carry line 0
+                exc.args = (f"line {line}: {exc}",)
+            raise
     return theory

@@ -18,9 +18,11 @@ import numpy as np
 
 from .embeddings import TOP_RADIUS, EmbeddingSet
 from .losses import LossBatch, batch_gradient, batch_loss, bucket_losses
-from .normalizer import NormalizedTheory
+from .normalizer import NormalForm, NormalizedTheory
 
 logger = logging.getLogger(__name__)
+
+MAX_RETRIES = 100  # draws per negative before its positive is skipped
 
 
 class TrainingError(Exception):
@@ -126,12 +128,12 @@ def generate_negatives(
     candidates: list[int],
     k: int,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> tuple[list[tuple[int, int, int]], int]:
     """Corrupt NF3 axioms (C, r, D) in one class slot, avoiding asserted axioms.
 
-    Returns (negatives, skipped) where skipped counts positives whose retry
-    budget was exhausted (possible on dense interaction graphs).
+    Returns (negatives, skipped) where skipped counts positives whose
+    ``MAX_RETRIES`` draws all hit asserted axioms (possible on dense
+    interaction graphs).
     """
     if k == 0:
         return [], 0
@@ -143,7 +145,7 @@ def generate_negatives(
     skipped = 0
     for c, r, d in nf3:
         for _ in range(k):
-            for _ in range(max_retries):
+            for _ in range(MAX_RETRIES):
                 corrupt_head = rng.integers(2) == 0
                 replacement = int(cand[rng.integers(len(cand))])
                 corrupted = (replacement, r, d) if corrupt_head else (c, r, replacement)
@@ -189,11 +191,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     neg_array = make_negatives() if corruptible else np.zeros((0, 3), dtype=np.intp)
 
     full_batch = LossBatch.from_theory(theory, cfg.margin)
-    # minibatches draw from the theory's buckets in LossBatch order, then the negatives
-    pools = [
-        (name, getattr(full_batch, name))
-        for name in ("nf1", "nf2", "nf3", "nf4", "bot1", "bot2", "bot4")
-    ]
+    # minibatches draw from the theory's buckets in NormalForm order, then the negatives
+    pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
 
     for epoch in range(cfg.epochs):
         if cfg.neg_mode == "fresh" and corruptible:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from elball.dataio import (
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.evaluation import entity_index
 from elball.family import FAMILY_KB
-from elball.normalizer import eliminate_abox, normalize
+from elball.normalizer import UnsupportedAxiomError, eliminate_abox, normalize
 from elball.ontology import (
     GCI,
     Atomic,
     Existential,
     Nominal,
+    ParseError,
     format_axiom,
     format_ontology,
     parse_ontology,
@@ -152,6 +154,26 @@ class TestNonFiniteCheckpoint:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value) and symbol in str(info.value)
+
+
+MALFORMED = [
+    pytest.param(lambda p: p["classes"]["A"].pop("radius"), "class 'A'", id="no-radius"),
+    pytest.param(lambda p: p["classes"]["B"].update(center=[0.5]), "class 'B'", id="ragged-center"),
+    pytest.param(lambda p: p["classes"]["A"].update(radius="wide"), "class 'A'", id="text-radius"),
+    pytest.param(lambda p: p.update(metadata=[2]), "'metadata'", id="metadata-list"),
+]
+
+
+@pytest.mark.parametrize("corrupt, where", MALFORMED)
+def test_malformed_checkpoint_names_file_and_class(tmp_path, corrupt, where):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and where in str(info.value)
 
 
 class TestTsvParsing:
@@ -424,3 +446,29 @@ class TestCli:
         pairs.write_text("P0\tP1\nP0\n")
         with pytest.raises(DataError, match="pairs.tsv:2:"):
             cli.main(["semsim", "--taxonomy", str(taxonomy), "--annotations", str(annots), "--pairs", str(pairs)])
+
+
+# every bucket nonempty, with Top, Bot, a fresh class and nominal classes
+EVERY_FORM_KB = FAMILY_KB + "Top < r some (A and B)\nr some {john} < Bot\nA < Bot\n"
+
+
+def test_normalize_output_renormalizes_to_the_same_theory(tmp_path, capsys):
+    path = tmp_path / "every.el"
+    path.write_text(EVERY_FORM_KB)
+    assert cli.main(["normalize", str(path)]) == 0
+    again = normalize(eliminate_abox(parse_ontology(capsys.readouterr().out)))
+    theory = normalize(eliminate_abox(parse_ontology(EVERY_FORM_KB)))
+    assert all(theory.counts().values()) and theory.fresh
+    assert again.counts() == theory.counts() and again.fresh == set()
+    assert format_ontology(again.as_ontology()) == format_ontology(theory.as_ontology())
+
+
+def test_theory_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.el"
+    path.write_text("A < B\nA < < B\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2, column 5: ") as info:
+        cli.main(["normalize", str(path)])
+    assert (info.value.line, info.value.column) == (2, 5)
+    path.write_text("A < B\n\nA < r some (B and Bot)\n")
+    with pytest.raises(UnsupportedAxiomError, match=f"^{re.escape(str(path))}: line 3: "):
+        cli.main(["normalize", str(path)])

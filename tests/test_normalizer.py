@@ -5,6 +5,7 @@ from el_oracle import atomic_subsumptions
 from elball.family import family_ontology
 from elball.normalizer import (
     NormalForm,
+    NormalizationError,
     UnsupportedAxiomError,
     classify_axiom,
     eliminate_abox,
@@ -18,6 +19,7 @@ from elball.ontology import (
     GCI,
     Ontology,
     TOP,
+    format_axiom,
     parse_axiom,
     parse_ontology,
 )
@@ -228,6 +230,42 @@ def test_abox_required_first():
 
     with pytest.raises(NormalizationError):
         normalize(parse_ontology("hasChild(a, b)"))
+
+
+def test_normalization_errors_name_the_input_line():
+    with pytest.raises(UnsupportedAxiomError, match="^line 3: no normal form"):
+        normalize(parse_ontology("A < B\n\nA < r some (B and Bot)\n"))
+    with pytest.raises(NormalizationError, match="^line 2: ontology still contains ABox"):
+        normalize(parse_ontology("A < B\nhasChild(a, b)\n"))
+
+
+# every bucket nonempty, with Top, Bot, fresh "N#k" names and "{a}" classes
+EVERY_FORM = """\
+A and B and C < D
+Top < r some (A and {a})
+hasChild(a, b)
+{b} : A
+r some Top < B and D
+A < Bot
+A and {a} < Bot
+r some {b} < Bot
+"""
+
+
+def test_bucket_text_matches_format_axiom():
+    theory = normalize(eliminate_abox(parse_ontology(EVERY_FORM)))
+    onto = theory.as_ontology()
+    expected = iter([format_axiom(axiom, onto) for axiom in onto.axioms])
+    names = theory.names()
+    texts = []
+    for form in NormalForm:
+        bucket = form.format(theory.handles(form), names)
+        assert bucket == [next(expected) for _ in bucket]
+        texts += bucket
+    assert next(expected, None) is None
+    assert all(theory.counts().values()) and theory.fresh
+    for word in ("Top", "Bot", "N#0", "N#1", "{a}", "{b}"):
+        assert any(word in text for text in texts)
 
 
 # --- oracle-backed conservativity ---------------------------------------
