@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -12,11 +13,15 @@ import numpy as np
 from . import dataio, semsim
 from .dataio import Checkpoint, load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingSet, TOP_RADIUS
-from .evaluation import embedding_score_fn, ranking_report
+from .evaluation import EvaluationError, embedding_score_fn, ranking_report
 from .geometry import check_model
 from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
 from .ontology import OntologyError, format_ontology, parse_ontology
-from .trainer import TrainConfig, train
+from .trainer import NEG_MODES, TrainConfig, TrainingError, train
+
+# errors in what the user passed in, reported by ``run`` as one line and status 2
+INPUT_ERRORS = (OntologyError, NormalizationError, dataio.DataError, EvaluationError,
+                semsim.SemSimError, TrainingError, OSError)
 
 
 def _load_theory(path: str) -> NormalizedTheory:
@@ -27,6 +32,11 @@ def _load_theory(path: str) -> NormalizedTheory:
     except (OntologyError, NormalizationError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def _given(args, names) -> dict:
+    """The options among ``names`` that were on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -71,18 +81,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_train(args) -> int:
     theory = _load_theory(args.theory)
-    cfg = TrainConfig(
-        dim=args.dim,
-        margin=args.margin,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        negatives_per_positive=args.neg_per_pos,
-        steps_per_epoch=args.steps_per_epoch,
-        neg_mode=args.neg_mode,
-        eval_every=args.eval_every,
-    )
+    cfg = TrainConfig(**_given(args, [f.name for f in dataclasses.fields(TrainConfig)]))
     e, trace = train(theory, cfg)
     metadata = {
         "margin": cfg.margin,
@@ -99,7 +98,11 @@ def cmd_train(args) -> int:
 def cmd_check(args) -> int:
     theory = _load_theory(args.theory)
     ckpt = load_checkpoint(args.ckpt)
-    e = align_embeddings(ckpt, theory)
+    try:
+        e = align_embeddings(ckpt, theory)
+    except dataio.CheckpointError as exc:
+        exc.args = (f"{args.ckpt}: {exc}",)
+        raise
     report = check_model(theory, e, args.tol)
     _write_out(json.dumps(report.to_dict(), indent=1) + "\n", args.out)
     return 0 if report.overall else 1
@@ -143,10 +146,7 @@ def cmd_ingest(args) -> int:
     onto, split = dataio.ingest(
         args.pairs,
         args.annotations,
-        min_confidence=args.min_confidence,
-        seed=args.seed,
-        relation=args.relation,
-        symmetric=args.symmetric,
+        **_given(args, ("min_confidence", "seed", "relation", "symmetric")),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,18 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_normalize)
 
-    p = sub.add_parser("train", help="train ball embeddings for a theory")
+    p = sub.add_parser("train", help="train ball embeddings for a theory",
+                       description="Options left out take elball.TrainConfig's defaults.",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--theory", required=True)
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--margin", type=float, default=-0.1)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--neg-per-pos", type=int, default=1)
-    p.add_argument("--steps-per-epoch", type=int, default=1)
-    p.add_argument("--neg-mode", choices=("static", "fresh"), default="static")
-    p.add_argument("--eval-every", type=int, default=0)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int, metavar="BATCH")
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--neg-per-pos", dest="negatives_per_positive", type=int, metavar="NEG_PER_POS")
+    p.add_argument("--steps-per-epoch", type=int)
+    p.add_argument("--neg-mode", choices=NEG_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -216,13 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_semsim)
 
-    p = sub.add_parser("ingest", help="interaction TSVs -> axioms + split")
+    p = sub.add_parser("ingest", help="interaction TSVs -> axioms + split",
+                       description="Options left out take elball.dataio.build_dataset's defaults.",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--pairs", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--min-confidence", type=float, default=700.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--relation", default="interacts")
-    p.add_argument("--symmetric", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--min-confidence", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--relation")
+    p.add_argument("--symmetric", action=argparse.BooleanOptionalAction)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_ingest)
 
@@ -239,5 +242,15 @@ def main(argv=None) -> int:
     return args.fn(args)
 
 
+def run(argv=None) -> int:
+    """``main`` for the console: an input error prints ``elball: <message>``
+    on stderr and returns 2, so 1 stays ``check``'s "model violated"."""
+    try:
+        return main(argv)
+    except INPUT_ERRORS as exc:
+        print(f"elball: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -124,44 +124,39 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
             f"checkpoint {path}: version {payload['version']} != supported {CHECKPOINT_VERSION}"
         )
     dim = payload["metadata"].get("dim")
+    if not isinstance(dim, int) or dim < 1:
+        raise CheckpointError(f"corrupt checkpoint {path}: metadata dim {dim!r} is not a positive integer")
     if expect_dim is not None and dim != expect_dim:
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
+    if "Top" not in payload["classes"]:
+        raise CheckpointError(f"checkpoint {path} has no 'Top' class")
     class_names = list(payload["classes"])
     relation_names = list(payload["relations"])
     try:
         centers = np.asarray(
             [payload["classes"][n]["center"] for n in class_names], dtype=np.float64
-        ).reshape(len(class_names), -1)
+        ).reshape(len(class_names), dim)
         radii = np.asarray([float(payload["classes"][n]["radius"]) for n in class_names])
-        rels = (
-            np.asarray([payload["relations"][n] for n in relation_names], dtype=np.float64)
-            .reshape(len(relation_names), -1)
-            if relation_names
-            else np.zeros((0, centers.shape[1]))
-        )
+        rels = np.asarray(
+            [payload["relations"][n] for n in relation_names], dtype=np.float64
+        ).reshape(len(relation_names), dim)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload) or exc}") from None
-    if centers.shape[1] != dim or (relation_names and rels.shape[1] != dim):
-        raise CheckpointError(f"checkpoint {path}: vector length disagrees with metadata dim {dim}")
+        raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload, dim) or exc}") from None
     bad = _first_nonfinite(centers, radii, rels, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad} holds a NaN or ±inf")
 
-    try:
-        top = class_names.index("Top")
-    except ValueError:
-        raise CheckpointError(f"checkpoint {path} has no 'Top' class") from None
+    top = class_names.index("Top")
     bot = class_names.index("Bot") if "Bot" in class_names else top
 
     e = EmbeddingSet(centers, radii, rels, top=top, bot=bot)
     return Checkpoint(e, class_names, relation_names, payload["metadata"])
 
 
-def _bad_entry(payload: dict) -> str | None:
-    """The first class or relation entry that is not a flat numeric vector
-    shaped like the first (a class also needs a numeric radius), and why."""
-    shape = None
+def _bad_entry(payload: dict, dim: int) -> str | None:
+    """The first class or relation entry that is not a numeric vector of
+    length ``dim`` (a class also needs a numeric radius), and why."""
     for kind, table in (("class", payload["classes"]), ("relation", payload["relations"])):
         for name, entry in table.items():
             where = f"{kind} {name!r}"
@@ -174,9 +169,8 @@ def _bad_entry(payload: dict) -> str | None:
                 return f"{where} has no {exc}"
             except (TypeError, ValueError) as exc:
                 return f"{where} is malformed: {exc}"
-            shape = vector.shape if shape is None else shape
-            if vector.ndim != 1 or vector.shape != shape:
-                return f"{where} has a vector of shape {vector.shape}, not {shape}"
+            if vector.shape != (dim,):
+                return f"{where} has a vector of shape {vector.shape}; metadata dim is {dim}"
     return None
 
 
@@ -306,15 +300,11 @@ def build_dataset(
 
 
 def ingest(
-    pairs_file: str | Path,
-    annotations_file: str | Path,
-    min_confidence: float = 700.0,
-    seed: int = 0,
-    relation: str = "interacts",
-    symmetric: bool = True,
+    pairs_file: str | Path, annotations_file: str | Path, **options
 ) -> tuple[Ontology, LinkSplit]:
+    """Read the pairs and annotations TSVs into ``build_dataset(..., **options)``."""
     pairs, annotations = read_pairs_tsv(pairs_file), read_annotations_tsv(annotations_file)
-    return build_dataset(pairs, annotations, min_confidence, seed, relation, symmetric)
+    return build_dataset(pairs, annotations, **options)
 
 
 def write_split(split: LinkSplit, out_dir: str | Path) -> None:

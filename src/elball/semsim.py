@@ -28,7 +28,6 @@ class SemSimError(Exception):
 class TaxonomyIndex:
     """Condensed (cycle-free) subsumption DAG with annotation-based IC."""
 
-    root: Hashable
     node_of: dict[Hashable, int]  # class -> condensation node
     ancestors: dict[int, frozenset[int]]  # node -> ancestor nodes incl. self
     ic: dict[int, Optional[float]]  # node -> IC, None when unannotated
@@ -136,9 +135,7 @@ def build_taxonomy(
     for node, count in counts.items():
         ic[node] = -math.log(count / total) if count > 0 and total > 0 else None
 
-    return TaxonomyIndex(
-        root=root, node_of=node_of, ancestors=ancestors, ic=ic, annotations=annot
-    )
+    return TaxonomyIndex(node_of=node_of, ancestors=ancestors, ic=ic, annotations=annot)
 
 
 def _similarity_table(index: TaxonomyIndex, nodes: list[int], measure: str) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Minibatch training of ball embeddings: init, negatives, Adam, projection.
 
 One epoch samples a minibatch (with replacement) from every nonempty
-axiom bucket, takes an Adam step on the summed gradient, clamps all radii
-to be non-negative, and restores Top's frozen parameters. Centers, radii
+axiom bucket, takes an Adam step on the summed gradient and clamps all
+radii to be non-negative. Top's gradient is always zero, so Adam leaves
+its center and sentinel radius exactly as initialized. Centers, radii
 and relation vectors are views into one flat parameter buffer, so a step
 is one Adam pass over it. Everything is driven by a single seeded
 generator, so a (theory, config) pair maps to a bitwise-reproducible
@@ -23,6 +24,7 @@ from .normalizer import NormalForm, NormalizedTheory
 logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 100  # draws per negative before its positive is skipped
+NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
 
 class TrainingError(Exception):
@@ -36,13 +38,10 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 32
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     negatives_per_positive: int = 1
     steps_per_epoch: int = 1
-    neg_mode: str = "static"  # "static" (precomputed) or "fresh" (per epoch)
+    neg_mode: str = "static"  # one of NEG_MODES
     eval_every: int = 0  # record full-theory loss every k epochs (0 = never)
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ class TrainConfig:
             raise ValueError("dim, batch_size, and steps_per_epoch must be positive")
         if self.epochs < 0 or self.negatives_per_positive < 0:
             raise ValueError("epochs and negatives_per_positive must be non-negative")
-        if self.neg_mode not in ("static", "fresh"):
+        if self.neg_mode not in NEG_MODES:
             raise ValueError(f"unknown neg_mode {self.neg_mode!r}")
 
 
@@ -165,9 +164,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         raise TrainingError("cannot train on an empty theory")
 
     theta, e = init_embeddings(theory, cfg).packed()
-    top_center = e.class_centers[e.top].copy()
     rng = np.random.default_rng([cfg.seed, 1])
-    optimizer = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam(cfg.learning_rate)
     trace = LossTrace()
 
     # classes eligible as corruption targets: everything but Top/Bot
@@ -219,10 +217,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
             epoch_loss = grads.loss
 
             optimizer.step({"params": theta}, {"params": grads.flat})
-            # project radii back onto the feasible set and re-freeze Top
+            # project radii back onto the feasible set
             np.maximum(e.class_radii, 0.0, out=e.class_radii)
-            e.class_centers[e.top] = top_center
-            e.class_radii[e.top] = TOP_RADIUS
 
         trace.minibatch.append(epoch_loss)
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:

@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elball import cli, dataio
+from elball import cli, dataio, trainer
 from elball.dataio import (
     Checkpoint,
     CheckpointError,
@@ -161,6 +166,9 @@ MALFORMED = [
     pytest.param(lambda p: p["classes"]["B"].update(center=[0.5]), "class 'B'", id="ragged-center"),
     pytest.param(lambda p: p["classes"]["A"].update(radius="wide"), "class 'A'", id="text-radius"),
     pytest.param(lambda p: p.update(metadata=[2]), "'metadata'", id="metadata-list"),
+    pytest.param(lambda p: p["relations"]["r"].append(0.5), "relation 'r'", id="long-relation"),
+    pytest.param(lambda p: p.update(classes={}), "no 'Top' class", id="no-classes"),
+    pytest.param(lambda p: p["metadata"].update(dim=-1), "metadata dim -1", id="negative-dim"),
 ]
 
 
@@ -472,3 +480,126 @@ def test_theory_errors_name_the_file_and_line(tmp_path):
     path.write_text("A < B\n\nA < r some (B and Bot)\n")
     with pytest.raises(UnsupportedAxiomError, match=f"^{re.escape(str(path))}: line 3: "):
         cli.main(["normalize", str(path)])
+
+
+@pytest.fixture
+def mismatched_checkpoint(tmp_path):
+    """A theory with class C, and a checkpoint trained on one without it."""
+    trained, other, ckpt = tmp_path / "ab.el", tmp_path / "ac.el", tmp_path / "ab.json"
+    trained.write_text("A < B\n")
+    other.write_text("A < C\n")
+    assert cli.main(["train", "--theory", str(trained), "--dim", "2", "--epochs", "1",
+                     "--out", str(ckpt)]) == 0
+    return other, ckpt
+
+
+def test_check_names_the_checkpoint_missing_a_class(mismatched_checkpoint):
+    theory, ckpt = mismatched_checkpoint
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(ckpt))}: .* class 'C'"):
+        cli.main(["check", str(theory), str(ckpt)])
+
+
+# --- flags left out take the library's defaults ---------------------------
+
+
+@pytest.fixture
+def train_configs(monkeypatch):
+    """Each TrainConfig that ``elball train`` builds; training is skipped."""
+    configs = []
+
+    def fake_train(theory, cfg):
+        configs.append(cfg)
+        return trainer.init_embeddings(theory, cfg), trainer.LossTrace()
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    return configs
+
+
+TRAIN_FLAGS = [
+    ("--dim", "3", "dim", 3),
+    ("--margin", "0.5", "margin", 0.5),
+    ("--epochs", "7", "epochs", 7),
+    ("--batch", "5", "batch_size", 5),
+    ("--lr", "0.2", "learning_rate", 0.2),
+    ("--seed", "9", "seed", 9),
+    ("--neg-per-pos", "2", "negatives_per_positive", 2),
+    ("--steps-per-epoch", "3", "steps_per_epoch", 3),
+    ("--neg-mode", "fresh", "neg_mode", "fresh"),
+]
+
+
+def test_train_without_flags_uses_train_config_defaults(family_file, tmp_path, train_configs):
+    assert cli.main(["train", "--theory", str(family_file), "--out", str(tmp_path / "c.json")]) == 0
+    assert train_configs == [trainer.TrainConfig()]
+
+
+@pytest.mark.parametrize("flag, text, field, value", TRAIN_FLAGS)
+def test_each_train_flag_sets_its_field(family_file, tmp_path, train_configs, flag, text, field, value):
+    assert getattr(trainer.TrainConfig(), field) != value
+    argv = ["train", "--theory", str(family_file), flag, text, "--out", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 0
+    assert train_configs == [dataclasses.replace(trainer.TrainConfig(), **{field: value})]
+
+
+def test_train_rejects_eval_every(family_file, tmp_path, capsys):
+    argv = ["train", "--theory", str(family_file), "--out", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--eval-every", "5"])
+    assert info.value.code == 2 and "--eval-every" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, options",
+    [
+        ([], {}),
+        (["--min-confidence", "50"], {"min_confidence": 50.0}),
+        (["--seed", "3"], {"seed": 3}),
+        (["--relation", "binds"], {"relation": "binds"}),
+        (["--no-symmetric"], {"symmetric": False}),
+    ],
+)
+def test_ingest_passes_only_given_flags_to_build_dataset(tmp_path, monkeypatch, flags, options):
+    calls = []
+
+    def spy(pair_rows, annotation_rows, **kwargs):
+        calls.append(kwargs)
+        return build_dataset(pair_rows, annotation_rows, **kwargs)
+
+    monkeypatch.setattr(dataio, "build_dataset", spy)
+    pairs, annots = write_interaction_files(tmp_path)
+    argv = ["ingest", "--pairs", str(pairs), "--annotations", str(annots), *flags,
+            "--out-dir", str(tmp_path / "data")]
+    assert cli.main(argv) == 0
+    assert calls == [options]
+
+
+# --- console entry point ---------------------------------------------------
+
+
+def run_console(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "elball.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_console_exit_status_tells_bad_input_from_a_violated_model(
+    family_file, mismatched_checkpoint, tmp_path
+):
+    bad = tmp_path / "bad.el"
+    bad.write_text("A < B\nA < < B\n")
+    done = run_console("normalize", str(bad))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"elball: {bad}: line 2, column 5: expected a concept, found '<'"
+    ]
+
+    theory, ckpt = mismatched_checkpoint
+    done = run_console("check", str(theory), str(ckpt))
+    assert done.returncode == 2 and str(ckpt) in done.stderr and "'C'" in done.stderr
+
+    family_ckpt = tmp_path / "family.json"
+    assert cli.main(["train", "--theory", str(family_file), "--dim", "2", "--epochs", "50",
+                     "--out", str(family_ckpt)]) == 0
+    assert run_console("check", str(family_file), str(family_ckpt), "--tol", "1e-12").returncode == 1

@@ -30,7 +30,8 @@ class TestTrainConfig:
         assert cfg.dim == 50
         assert cfg.margin == -0.1
         assert cfg.learning_rate == 0.01
-        assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
+        adam = Adam(lr=0.01)
+        assert (adam.beta1, adam.beta2, adam.eps) == (0.9, 0.999, 1e-8)
         assert cfg.negatives_per_positive == 1
         assert cfg.steps_per_epoch == 1
 
