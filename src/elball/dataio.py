@@ -76,6 +76,9 @@ def save_checkpoint(
         },
     }
     path = Path(path)
+    bad = _first_invalid(e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names)
+    if bad is not None:
+        raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -86,24 +89,26 @@ def save_checkpoint(
         if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, ValueError):  # allow_nan=False refused a NaN or ±inf
-            where = _first_nonfinite(
-                e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names
-            )
             raise CheckpointError(
-                f"cannot write checkpoint {path}: {where or 'metadata'} holds a NaN or ±inf"
+                f"cannot write checkpoint {path}: metadata holds a NaN or ±inf"
             ) from None
         raise
 
 
-def _first_nonfinite(centers, radii, rels, class_names, relation_names) -> str | None:
-    """'class NAME' or 'relation NAME' of the first row holding a NaN or ±inf, else None."""
+def _first_invalid(centers, radii, rels, class_names, relation_names) -> str | None:
+    """The first class or relation row holding a NaN or ±inf, else the first
+    class with a negative radius, and why; None when there is neither."""
     rows = (
         ("class", class_names, ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii))),
         ("relation", relation_names, ~np.isfinite(rels).all(axis=1)),
     )
     for kind, names, bad in rows:
         if bad.any():
-            return f"{kind} {names[int(np.argmax(bad))]!r}"
+            return f"{kind} {names[int(np.argmax(bad))]!r} holds a NaN or ±inf"
+    negative = radii < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        return f"class {class_names[i]!r} has a negative radius {float(radii[i])!r}"
     return None
 
 
@@ -113,6 +118,8 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: the top level is not a JSON object")
 
     for key in ("version", "metadata", "classes", "relations"):
         if key not in payload:
@@ -124,7 +131,7 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
             f"checkpoint {path}: version {payload['version']} != supported {CHECKPOINT_VERSION}"
         )
     dim = payload["metadata"].get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a bool is an int, but not a dimension
         raise CheckpointError(f"corrupt checkpoint {path}: metadata dim {dim!r} is not a positive integer")
     if expect_dim is not None and dim != expect_dim:
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
@@ -143,9 +150,9 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
         ).reshape(len(relation_names), dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload, dim) or exc}") from None
-    bad = _first_nonfinite(centers, radii, rels, class_names, relation_names)
+    bad = _first_invalid(centers, radii, rels, class_names, relation_names)
     if bad is not None:
-        raise CheckpointError(f"checkpoint {path}: {bad} holds a NaN or ±inf")
+        raise CheckpointError(f"checkpoint {path}: {bad}")
 
     top = class_names.index("Top")
     bot = class_names.index("Bot") if "Bot" in class_names else top

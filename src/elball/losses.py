@@ -59,9 +59,9 @@ class LossBatch:
     neg: np.ndarray = field(default_factory=lambda: _rows((), 3))
 
     @classmethod
-    def from_theory(cls, theory: NormalizedTheory, gamma: float, negatives=()) -> "LossBatch":
+    def from_theory(cls, theory: NormalizedTheory, gamma: float) -> "LossBatch":
         rows = {f.field: _rows(getattr(theory, f.field), len(f.kinds)) for f in NormalForm}
-        return cls(gamma=gamma, neg=_rows(list(negatives), 3), **rows)
+        return cls(gamma=gamma, **rows)
 
 
 @dataclass
@@ -69,7 +69,8 @@ class Gradient:
     """d batch_loss / d every trainable scalar (Top's zero), and the loss.
 
     ``flat`` is laid out [centers | radii | relations], as the trainer's
-    parameter buffer; the three tables are views into it.
+    parameter buffer; the three tables are views into it. ``buckets`` holds
+    the loss of each nonempty bucket, as ``bucket_losses``; ``loss`` is their sum.
     """
 
     flat: np.ndarray
@@ -77,6 +78,7 @@ class Gradient:
     class_radii: np.ndarray
     rel_vectors: np.ndarray
     loss: float
+    buckets: dict[str, float]
 
 
 # --- the coefficient table ----------------------------------------------
@@ -305,4 +307,5 @@ def batch_gradient(batch: LossBatch, e: EmbeddingSet) -> Gradient:
     gradient.
     """
     per_bucket, flat = _table(batch, e, gradient=True)
-    return Gradient(flat, *table_views(flat, e.n_classes, e.dim), float(sum(per_bucket.values())))
+    views = table_views(flat, e.n_classes, e.dim)
+    return Gradient(flat, *views, float(sum(per_bucket.values())), per_bucket)

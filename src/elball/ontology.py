@@ -19,6 +19,7 @@ shared between axioms: ``dataio.build_dataset`` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -168,56 +169,41 @@ class Ontology:
 # --- parser --------------------------------------------------------------
 
 _KEYWORDS = frozenset({"and", "some", TOP_NAME, BOT_NAME})
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CHARS = _IDENT_START | frozenset("0123456789#.-")
-_PUNCT = frozenset("<(){}:,")
+# After blanks: a name, a punctuation mark, a comment, or any other character,
+# which is an error. That last group excludes blanks, so trailing blanks match
+# nothing rather than read as an unexpected character.
+_TOKEN = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_#.\-]*)|([<(){}:,])|(#)|([^ \t]))")
 
 
 def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
     """Return (kind, value, column) triples; kind is 'ident' or the punct char."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":  # comment; '#' inside an identifier is consumed below
+    for match in _TOKEN.finditer(text):
+        ident, punct, comment, other = match.groups()
+        col = match.start(match.lastindex) + 1
+        if comment:  # '#' inside an identifier is part of the name
             break
-        col = i + 1
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(("ident", text[i:j], col))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append((ch, ch, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", lineno, col)
+        if other:
+            raise ParseError(f"unexpected character {other!r}", lineno, col)
+        tokens.append(("ident", ident, col) if ident else (punct, punct, col))
     return tokens
 
 
 class _LineParser:
     def __init__(self, tokens: list[tuple[str, str, int]], lineno: int, onto: Ontology):
-        self.tokens = tokens
+        # two end tokens, so peek(1) stays in range; errors there point at the last token
+        self.tokens = tokens + [("end", "", tokens[-1][2])] * 2
         self.pos = 0
         self.lineno = lineno
         self.onto = onto
 
-    def peek(self, ahead: int = 0):
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[self.pos + ahead]
 
-    def next(self):
+    def next(self) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok is None:
-            last_col = self.tokens[-1][2] if self.tokens else 1
-            raise ParseError("unexpected end of line", self.lineno, last_col)
+        if tok[0] == "end":
+            raise ParseError("unexpected end of line", self.lineno, tok[2])
         self.pos += 1
         return tok
 
@@ -233,20 +219,10 @@ class _LineParser:
             raise ParseError(f"expected a name, found {tok[1]!r}", self.lineno, tok[2])
         return tok[1], tok[2]
 
-    def fail(self, message: str):
-        tok = self.peek()
-        col = tok[2] if tok else (self.tokens[-1][2] if self.tokens else 1)
-        raise ParseError(message, self.lineno, col)
-
     # axiom := concept "<" concept | IDENT "(" IDENT "," IDENT ")"
     #        | "{" IDENT "}" ":" concept
     def parse_axiom(self) -> Axiom:
-        if (
-            self.peek() is not None
-            and self.peek()[0] == "ident"
-            and self.peek(1) is not None
-            and self.peek(1)[0] == "("
-        ):
+        if self.peek()[0] == "ident" and self.peek(1)[0] == "(":
             axiom = self._parse_role_assertion()
         else:
             lhs = self.parse_concept()
@@ -263,8 +239,9 @@ class _LineParser:
                 axiom = Instantiation(concept, lhs.individual)
             else:
                 raise ParseError(f"expected '<' or ':', found {tok[1]!r}", self.lineno, tok[2])
-        if self.peek() is not None:
-            self.fail(f"trailing input {self.peek()[1]!r}")
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {tok[1]!r}", self.lineno, tok[2])
         return axiom
 
     def _parse_role_assertion(self) -> RoleAssertion:
@@ -283,7 +260,7 @@ class _LineParser:
     # concept := prim ("and" prim)*   left-associative
     def parse_concept(self) -> Concept:
         concept = self.parse_prim()
-        while self.peek() is not None and self.peek()[:2] == ("ident", "and"):
+        while self.peek()[:2] == ("ident", "and"):
             self.next()
             concept = Conjunction(concept, self.parse_prim())
         return concept
@@ -306,7 +283,7 @@ class _LineParser:
             return TOP
         if tok[1] == BOT_NAME:
             return BOT
-        if self.peek() is not None and self.peek()[:2] == ("ident", "some"):
+        if self.peek()[:2] == ("ident", "some"):
             self.next()
             filler = self.parse_prim()
             return Existential(self.onto.relations.intern(tok[1]), filler)
@@ -336,28 +313,21 @@ def parse_axiom(text: str, onto: Ontology) -> Axiom:
 
 # --- printer -------------------------------------------------------------
 
-# Precedence contexts: conjunctions need parentheses as existential fillers
-# and as right conjuncts (the grammar is left-associative).
-_CTX_TOP = 0
-_CTX_CONJ_RIGHT = 1
-_CTX_FILLER = 2
-
-
-def format_concept(concept: Concept, onto: Ontology, _ctx: int = _CTX_TOP) -> str:
+# A nested conjunction, as an existential filler or a right conjunct (the
+# grammar is left-associative), needs parentheses.
+def format_concept(concept: Concept, onto: Ontology, nested: bool = False) -> str:
     if isinstance(concept, Atomic):
         return onto.classes.name(concept.cls)
     if isinstance(concept, Nominal):
         return "{" + onto.individuals.name(concept.individual) + "}"
     if isinstance(concept, Existential):
         rel = onto.relations.name(concept.relation)
-        return f"{rel} some {format_concept(concept.filler, onto, _CTX_FILLER)}"
+        return f"{rel} some {format_concept(concept.filler, onto, True)}"
     if isinstance(concept, Conjunction):
-        left = format_concept(concept.left, onto, _CTX_TOP)
-        right = format_concept(concept.right, onto, _CTX_CONJ_RIGHT)
+        left = format_concept(concept.left, onto)
+        right = format_concept(concept.right, onto, True)
         text = f"{left} and {right}"
-        if _ctx != _CTX_TOP:
-            text = f"({text})"
-        return text
+        return f"({text})" if nested else text
     raise OntologyError(f"unknown concept node {concept!r}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import TOP_RADIUS, EmbeddingSet
-from .losses import LossBatch, batch_gradient, batch_loss, bucket_losses
+from .losses import LossBatch, batch_gradient, batch_loss
 from .normalizer import NormalForm, NormalizedTheory
 
 logger = logging.getLogger(__name__)
@@ -27,7 +27,7 @@ MAX_RETRIES = 100  # draws per negative before its positive is skipped
 NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
 
-class TrainingError(Exception):
+class TrainingError(ValueError):
     pass
 
 
@@ -46,11 +46,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.dim <= 0 or self.batch_size <= 0 or self.steps_per_epoch <= 0:
-            raise ValueError("dim, batch_size, and steps_per_epoch must be positive")
+            raise TrainingError("dim, batch_size, and steps_per_epoch must be positive")
         if self.epochs < 0 or self.negatives_per_positive < 0:
-            raise ValueError("epochs and negatives_per_positive must be non-negative")
+            raise TrainingError("epochs and negatives_per_positive must be non-negative")
         if self.neg_mode not in NEG_MODES:
-            raise ValueError(f"unknown neg_mode {self.neg_mode!r}")
+            raise TrainingError(f"unknown neg_mode {self.neg_mode!r}")
 
 
 @dataclass
@@ -67,11 +67,12 @@ class Adam:
     buffers per array, in the operation order of the textbook formula.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -134,7 +135,7 @@ def generate_negatives(
     ``MAX_RETRIES`` draws all hit asserted axioms (possible on dense
     interaction graphs).
     """
-    if k == 0:
+    if k == 0 or not nf3:
         return [], 0
     if not candidates:
         raise TrainingError("no candidate classes for negative generation")
@@ -175,10 +176,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
 
     # only corrupt positives whose class slots are both ordinary classes;
     # a negative keeping Top would inherit its unbounded radius
-    cand_set = set(candidates)
-    corruptible = [
-        (c, r, d) for c, r, d in theory.nf3 if c in cand_set and d in cand_set
-    ]
+    corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
 
     def make_negatives():
         negs, _ = generate_negatives(
@@ -186,16 +184,15 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         )
         return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
 
-    neg_array = make_negatives() if corruptible else np.zeros((0, 3), dtype=np.intp)
+    neg_array = make_negatives()
 
     full_batch = LossBatch.from_theory(theory, cfg.margin)
     # minibatches draw from the theory's buckets in NormalForm order, then the negatives
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
 
     for epoch in range(cfg.epochs):
-        if cfg.neg_mode == "fresh" and corruptible:
+        if cfg.neg_mode == "fresh":
             neg_array = make_negatives()
-        epoch_loss = 0.0
         for _ in range(cfg.steps_per_epoch):
             batch = LossBatch(
                 cfg.margin,
@@ -207,12 +204,11 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
 
             grads = batch_gradient(batch, e)
             if not np.isfinite(grads.loss):
-                per_bucket = bucket_losses(batch, e)
                 offender = next(
-                    (k for k, v in per_bucket.items() if not np.isfinite(v)), "?"
+                    (k for k, v in grads.buckets.items() if not np.isfinite(v)), "?"
                 )
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch} in bucket {offender}: {per_bucket}"
+                    f"non-finite loss at epoch {epoch} in bucket {offender}: {grads.buckets}"
                 )
             epoch_loss = grads.loss
 

@@ -161,6 +161,37 @@ class TestNonFiniteCheckpoint:
         assert str(path) in str(info.value) and symbol in str(info.value)
 
 
+class TestNegativeRadiusCheckpoint:
+    def test_save_refuses(self, tmp_path):
+        e = sample_embeddings()
+        e.class_radii[2] = -0.5
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(path, e, CLASS_NAMES, REL_NAMES, {})
+        assert str(info.value) == (
+            f"cannot write checkpoint {path}: class 'A' has a negative radius -0.5"
+        )
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+
+    def test_load_rejects(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
+        payload = json.loads(path.read_text())
+        payload["classes"]["B"]["radius"] = -1e-300
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"checkpoint {path}: class 'B' has a negative radius -1e-300"
+
+    def test_negative_zero_passes(self, tmp_path):
+        e = sample_embeddings()
+        e.class_radii[2] = -0.0
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, e, CLASS_NAMES, REL_NAMES, {})
+        radii = load_checkpoint(path).embeddings.class_radii
+        assert radii[2] == 0.0 and radii[0] == TOP_RADIUS
+
+
 MALFORMED = [
     pytest.param(lambda p: p["classes"]["A"].pop("radius"), "class 'A'", id="no-radius"),
     pytest.param(lambda p: p["classes"]["B"].update(center=[0.5]), "class 'B'", id="ragged-center"),
@@ -169,6 +200,7 @@ MALFORMED = [
     pytest.param(lambda p: p["relations"]["r"].append(0.5), "relation 'r'", id="long-relation"),
     pytest.param(lambda p: p.update(classes={}), "no 'Top' class", id="no-classes"),
     pytest.param(lambda p: p["metadata"].update(dim=-1), "metadata dim -1", id="negative-dim"),
+    pytest.param(lambda p: p["metadata"].update(dim=True), "metadata dim True", id="bool-dim"),
 ]
 
 
@@ -182,6 +214,15 @@ def test_malformed_checkpoint_names_file_and_class(tmp_path, corrupt, where):
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["5", "[]", "null"])
+def test_checkpoint_top_level_must_be_an_object(tmp_path, text):
+    path = tmp_path / "ckpt.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"corrupt checkpoint {path}: the top level is not a JSON object"
 
 
 class TestTsvParsing:
@@ -603,3 +644,11 @@ def test_console_exit_status_tells_bad_input_from_a_violated_model(
     assert cli.main(["train", "--theory", str(family_file), "--dim", "2", "--epochs", "50",
                      "--out", str(family_ckpt)]) == 0
     assert run_console("check", str(family_file), str(family_ckpt), "--tol", "1e-12").returncode == 1
+
+    zero_dim = tmp_path / "zero-dim.json"
+    done = run_console("train", "--theory", str(family_file), "--dim", "0", "--out", str(zero_dim))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "elball: dim, batch_size, and steps_per_epoch must be positive"
+    ]
+    assert not zero_dim.exists()

@@ -373,6 +373,14 @@ class TestFusedMatchesReference:
         for name in ("class_centers", "class_radii", "rel_vectors"):
             assert _close(getattr(got_grad, name), getattr(want_grad, name)), name
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gradient_carries_bucket_losses(self, seed):
+        batch, e = reference_setup(np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = batch_gradient(batch, e)
+            assert grad.buckets == bucket_losses(batch, e)
+        assert grad.loss == sum(grad.buckets.values())
+
 
 # --- the coefficient table across bucket sizes -----------------------------
 

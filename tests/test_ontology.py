@@ -117,6 +117,41 @@ def test_syntax_errors_have_positions(bad):
     assert "line 1" in str(exc.value)
 
 
+# (text, line, column, message) of every parse-error path; one line goes
+# through parse_axiom, more than one through parse_ontology
+PARSE_ERRORS = [
+    pytest.param("A < é", 1, 5, "unexpected character 'é'", id="non-ascii-letter"),
+    pytest.param("A <\x0bB", 1, 4, "unexpected character '\\x0b'", id="vertical-tab"),
+    pytest.param("9A < B", 1, 1, "unexpected character '9'", id="leading-digit"),
+    pytest.param("A < -B", 1, 5, "unexpected character '-'", id="leading-hyphen"),
+    pytest.param("A ? B", 1, 3, "unexpected character '?'", id="question-mark"),
+    pytest.param("A <  ", 1, 3, "unexpected end of line", id="end-after-lt"),
+    pytest.param("A < r some", 1, 7, "unexpected end of line", id="end-after-some"),
+    pytest.param("A < (", 1, 5, "unexpected end of line", id="end-after-paren"),
+    pytest.param("A < {a", 1, 6, "unexpected end of line", id="end-after-nominal"),
+    pytest.param("r(a, b", 1, 6, "unexpected end of line", id="end-in-role-assertion"),
+    pytest.param("A < B and", 1, 7, "unexpected end of line", id="end-after-and"),
+    pytest.param("A < B C", 1, 7, "trailing input 'C'", id="trailing-input"),
+    pytest.param("A#b < C D", 1, 9, "trailing input 'D'", id="hash-inside-name"),
+    pytest.param("A #b < C D", 1, 1, "unexpected end of line", id="hash-after-blank"),
+    pytest.param("\tA <\t\t< B", 1, 7, "expected a concept, found '<'", id="tabs"),
+    pytest.param("A < B\n\n\tr(a,\tb) x", 3, 10, "trailing input 'x'", id="tabs-line-3"),
+    pytest.param("A : B", 1, 3, "class assertion requires a '{name}' subject", id="assert-class"),
+    pytest.param("r(a b)", 1, 5, "expected ',', found 'b'", id="expected-comma"),
+    pytest.param("{and} : A", 1, 2, "expected a name, found 'and'", id="keyword-name"),
+    pytest.param("A B", 1, 3, "expected '<' or ':', found 'B'", id="no-connective"),
+    pytest.param("", 1, 1, "empty axiom", id="empty-axiom"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", PARSE_ERRORS)
+def test_parse_errors_pin_message_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_ontology(text) if "\n" in text else parse_axiom(text, Ontology())
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_format_gci_with_bot():
     onto = parse_ontology("Female and Male < Bot")
     assert format_axiom(onto.axioms[0], onto) == "Female and Male < Bot"

@@ -165,6 +165,9 @@ class TestNegatives:
         assert skipped == len(nf3)
         assert "skipped" in caplog.text
 
+    def test_no_positives(self, rng):
+        assert generate_negatives([], [], 1, rng) == ([], 0)
+
     def test_no_candidates(self, rng):
         with pytest.raises(TrainingError):
             generate_negatives(self.NF3, [], 1, rng)
@@ -240,6 +243,23 @@ class TestTrain:
         e, trace = train(family_theory, cfg)
         assert len(trace.minibatch) == 10
         assert np.all(np.isfinite(e.class_centers))
+
+    def test_theory_without_corruptible_nf3_rows(self):
+        # each NF3 row has Top as its filler, so no mode has a row to corrupt
+        from elball.ontology import parse_ontology
+
+        theory = normalize(parse_ontology("A < B\nA < r some Top\nB < r some Top\n"))
+        assert len(theory.nf3) == 2
+        (static, t_static), (fresh, t_fresh) = [
+            train(theory, TrainConfig(dim=2, epochs=5, batch_size=4, seed=3, neg_mode=mode))
+            for mode in trainer.NEG_MODES
+        ]
+        assert len(t_static.minibatch) == 5 and np.isfinite(t_static.minibatch).all()
+        # neither mode draws from the generator for negatives
+        assert t_static.minibatch == t_fresh.minibatch
+        assert np.array_equal(static.class_centers, fresh.class_centers)
+        assert np.array_equal(static.class_radii, fresh.class_radii)
+        assert np.array_equal(static.rel_vectors, fresh.rel_vectors)
 
     def test_calls_go_through_module_names(self, monkeypatch):
         # the benchmark's traced run times training by patching these names
