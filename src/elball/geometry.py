@@ -6,13 +6,17 @@ that row's hinge argument floored at 0 (containment, disjointness, a zero
 radius; NF4's overlap hinge is reported but does not bind). NF2 asks the exact
 enclosure of its operands' intersection to lie in the right-hand ball. Balls
 are closed for containment, but touching spheres count as disjoint (the
-denoted balls are open). Axioms are evaluated as arrays, bucket by bucket.
+denoted balls are open). Axioms are evaluated as arrays, bucket by bucket,
+and the report keeps those arrays: it formats an axiom's text and builds
+its AxiomCheck only when asked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -111,25 +115,82 @@ class AxiomCheck:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
+class FormSummary:
+    """One form's axioms in a ModelReport: how many there are, how many are
+    violated beyond the tolerance, the largest violation, and the text of
+    the axiom that has it (the first on ties; None for an empty form)."""
+
+    count: int
+    violated: int
+    max: float
+    worst: Optional[str]
+    informational: bool
+
+
+@dataclass(eq=False)
 class ModelReport:
-    checks: list[AxiomCheck] = field(default_factory=list)
-    tolerance: float = 0.0
+    """A model check kept as arrays: per form, the operand handle rows (as
+    ``NormalizedTheory.handles``) and their violations.
+
+    ``overall``, ``max_violation`` and ``forms`` read the arrays; ``forms``
+    formats one row per form. ``checks`` builds one AxiomCheck, text
+    included, per axiom on first access. ``axioms`` keeps the bucket
+    entries as the theory held them; AxiomCheck.axiom shares those tuples,
+    so that building ``checks`` allocates (and garbage-collects) no tuple
+    per row.
+    """
+
+    tolerance: float
+    handles: dict[NormalForm, np.ndarray]
+    violations: dict[NormalForm, np.ndarray]
+    names: dict[str, np.ndarray]  # as NormalizedTheory.names
+    axioms: dict[NormalForm, list]
+
+    def _binding(self) -> list[np.ndarray]:
+        return [v for form, v in self.violations.items() if form not in _INFORMATIONAL]
 
     @property
     def overall(self) -> bool:
-        return all(c.satisfied for c in self.checks if not c.informational)
+        return all(bool((v <= self.tolerance).all()) for v in self._binding())
 
     @property
     def max_violation(self) -> float:
-        binding = [c.violation for c in self.checks if not c.informational]
-        return max(binding, default=0.0)
+        return max((float(v.max()) for v in self._binding() if len(v)), default=0.0)
+
+    @cached_property
+    def forms(self) -> dict[str, FormSummary]:
+        """Each form's summary, by label, in NormalForm order."""
+        out = {}
+        for form, v in self.violations.items():
+            peak, worst = 0.0, None
+            if len(v):
+                i = int(v.argmax())
+                peak, worst = float(v[i]), form.format(self.handles[form][i : i + 1], self.names)[0]
+            violated = len(v) - int(np.count_nonzero(v <= self.tolerance))
+            out[form.value] = FormSummary(len(v), violated, peak, worst, form in _INFORMATIONAL)
+        return out
+
+    @cached_property
+    def checks(self) -> list[AxiomCheck]:
+        """One AxiomCheck per axiom, forms in NormalForm order."""
+        checks = []
+        for form, rows in self.handles.items():
+            v, axioms = self.violations[form], self.axioms[form]
+            if len(form.kinds) == 1:
+                axioms = [(c,) for c in axioms]
+            checks += map(
+                AxiomCheck, repeat(form.value), axioms, form.format(rows, self.names),
+                (v <= self.tolerance).tolist(), v.tolist(), repeat(form in _INFORMATIONAL),
+            )
+        return checks
 
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
             "tolerance": self.tolerance,
             "max_violation": self.max_violation,
+            "forms": {label: asdict(summary) for label, summary in self.forms.items()},
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -147,6 +208,15 @@ _TOP_RULES = {
     NormalForm.BOT2: lambda x, t: (t[0] | t[1], False),
     NormalForm.BOT4: lambda x, t: (t[1], False),
 }
+
+
+def unsatisfiable(form: NormalForm, rows: np.ndarray, top: int) -> np.ndarray:
+    """Which of a bucket's handle rows Top's rules read as inf: Top on a
+    left-hand side, unless a rule makes the row hold (Top < Top)."""
+    x = rows.T
+    inf, zero = _TOP_RULES[form](x, x == top)
+    return np.broadcast_to(np.asarray(inf) & ~np.asarray(zero), len(rows))
+
 
 # forms reported without a verdict: NF4's overlap hinge does not entail the
 # subsumption it stands for
@@ -181,7 +251,7 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
     finite = {"c": np.isfinite(e.class_centers).all(axis=1) & np.isfinite(e.class_radii)}
     finite["r"] = np.isfinite(e.rel_vectors).all(axis=1)
     names = theory.names()
-    report = ModelReport(tolerance=tol)
+    handles, violations, axioms = {}, {}, {}
     for form in NormalForm:
         rows = theory.handles(form)
         ok = np.ones(len(rows), dtype=bool)
@@ -192,12 +262,6 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
                 raise GeometryError(f"no embedding for {what} {names[kind][col[bad.argmax()]]!r}")
             ok &= finite[kind][col]
         v = [_violations(form, rows[i : i + _BLOCK], e) for i in range(0, len(rows), _BLOCK)]
-        v = np.where(ok, np.concatenate(v or [[]]), math.inf)
-        axioms = getattr(theory, form.field)
-        axioms = [(c,) for c in axioms] if len(form.kinds) == 1 else axioms
-        label, informational = form.value, form in _INFORMATIONAL
-        report.checks += [
-            AxiomCheck(label, axiom, text, bool(x <= tol), x, informational)
-            for axiom, text, x in zip(axioms, form.format(rows, names), v.tolist())
-        ]
-    return report
+        handles[form], violations[form] = rows, np.where(ok, np.concatenate(v or [[]]), math.inf)
+        axioms[form] = list(getattr(theory, form.field))
+    return ModelReport(tol, handles, violations, names, axioms)

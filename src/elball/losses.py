@@ -60,7 +60,7 @@ class LossBatch:
 
     @classmethod
     def from_theory(cls, theory: NormalizedTheory, gamma: float) -> "LossBatch":
-        rows = {f.field: _rows(getattr(theory, f.field), len(f.kinds)) for f in NormalForm}
+        rows = {f.field: _rows(theory.handles(f), len(f.kinds)) for f in NormalForm}
         return cls(gamma=gamma, **rows)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -44,15 +45,15 @@ class UnsupportedAxiomError(NormalizationError):
 class NormalForm(Enum):
     """The seven buckets. A member's value is its label, ``field`` its bucket
     in NormalizedTheory and LossBatch, ``kinds`` its operand columns ("c"
-    class, "r" relation) and ``text`` its axiom over their names."""
+    class, "r" relation) and ``text`` its axiom, a %-template over their names."""
 
-    NF1 = ("NF1", "nf1", "cc", "{0} < {1}")
-    NF2 = ("NF2", "nf2", "ccc", "{0} and {1} < {2}")
-    NF3 = ("NF3", "nf3", "crc", "{0} < {1} some {2}")
-    NF4 = ("NF4", "nf4", "rcc", "{0} some {1} < {2}")
-    BOT1 = ("Bot1", "bot1", "c", "{0} < Bot")
-    BOT2 = ("Bot2", "bot2", "cc", "{0} and {1} < Bot")
-    BOT4 = ("Bot4", "bot4", "rc", "{0} some {1} < Bot")
+    NF1 = ("NF1", "nf1", "cc", "%s < %s")
+    NF2 = ("NF2", "nf2", "ccc", "%s and %s < %s")
+    NF3 = ("NF3", "nf3", "crc", "%s < %s some %s")
+    NF4 = ("NF4", "nf4", "rcc", "%s some %s < %s")
+    BOT1 = ("Bot1", "bot1", "c", "%s < Bot")
+    BOT2 = ("Bot2", "bot2", "cc", "%s and %s < Bot")
+    BOT4 = ("Bot4", "bot4", "rc", "%s some %s < Bot")
 
     def __new__(cls, label: str, bucket: str, kinds: str, text: str):
         member = object.__new__(cls)
@@ -66,7 +67,8 @@ class NormalForm(Enum):
     def format(self, rows: np.ndarray, names: dict[str, np.ndarray]) -> list[str]:
         """The text of each row of operand handles, one column per operand;
         ``names`` maps each kind to its handle -> name array."""
-        return list(map(self.text.format, *(names[k][col] for k, col in zip(self.kinds, rows.T))))
+        columns = (names[k][col] for k, col in zip(self.kinds, rows.T))
+        return [self.text % operands for operands in zip(*columns)]  # % is faster than str.format
 
 
 @dataclass
@@ -94,7 +96,9 @@ class NormalizedTheory:
     def handles(self, form: NormalForm) -> np.ndarray:
         """The form's bucket as an array of handles, one row per axiom."""
         entries = getattr(self, form.field)
-        return np.asarray(entries, dtype=np.intp).reshape(len(entries), len(form.kinds))
+        width = len(form.kinds)
+        flat = entries if width == 1 else chain.from_iterable(entries)
+        return np.fromiter(flat, dtype=np.intp).reshape(len(entries), width)
 
     def names(self) -> dict[str, np.ndarray]:
         """Handle -> name arrays of the classes ("c") and relations ("r")."""

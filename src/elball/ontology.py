@@ -291,10 +291,15 @@ class _LineParser:
 
 
 def parse_ontology(text: str, onto: Ontology | None = None) -> Ontology:
-    """Parse the text format into an Ontology, interning symbols on first use."""
+    """Parse the text format into an Ontology, interning symbols on first use.
+
+    A line ends at a line feed, or a carriage return and a line feed; any
+    other character that ``str.splitlines`` breaks at is an unexpected
+    character.
+    """
     onto = onto if onto is not None else Ontology()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, lineno)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = _tokenize(line.removesuffix("\r"), lineno)
         if not tokens:
             continue
         parser = _LineParser(tokens, lineno, onto)

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import TOP_RADIUS, EmbeddingSet
+from .geometry import unsatisfiable
 from .losses import LossBatch, batch_gradient, batch_loss
 from .normalizer import NormalForm, NormalizedTheory
+from .ontology import TOP_ID
 
 logger = logging.getLogger(__name__)
 
@@ -163,6 +165,19 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     """Run the full training loop and return (embeddings, loss trace)."""
     if theory.n_axioms() == 0:
         raise TrainingError("cannot train on an empty theory")
+    full_batch = LossBatch.from_theory(theory, cfg.margin)
+    # refuse the rows check_model reads as inf: such a row's loss is a
+    # constant near TOP_RADIUS that no step lowers, and two of them in one
+    # minibatch sum to inf
+    for form in NormalForm:
+        rows = getattr(full_batch, form.field).reshape(-1, len(form.kinds))
+        bad = unsatisfiable(form, rows, TOP_ID)
+        if bad.any():
+            text = form.format(rows[bad][:1], theory.names())[0]
+            raise TrainingError(
+                f"{form.value} axiom {text!r} has Top on its left-hand side, "
+                "which no ball embedding satisfies"
+            )
 
     theta, e = init_embeddings(theory, cfg).packed()
     rng = np.random.default_rng([cfg.seed, 1])
@@ -186,7 +201,6 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
 
     neg_array = make_negatives()
 
-    full_batch = LossBatch.from_theory(theory, cfg.margin)
     # minibatches draw from the theory's buckets in NormalForm order, then the negatives
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
 

@@ -652,3 +652,37 @@ def test_console_exit_status_tells_bad_input_from_a_violated_model(
         "elball: dim, batch_size, and steps_per_epoch must be positive"
     ]
     assert not zero_dim.exists()
+
+
+def test_check_json_summarizes_each_form(family_file, tmp_path):
+    ckpt, out = tmp_path / "family.json", tmp_path / "report.json"
+    assert cli.main(["train", "--theory", str(family_file), "--dim", "2", "--epochs", "50",
+                     "--seed", "3", "--out", str(ckpt)]) == 0
+    assert cli.main(["check", str(family_file), str(ckpt), "--tol", "0.1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert list(report) == ["overall", "tolerance", "max_violation", "forms", "checks"]
+    forms, checks = report["forms"], report["checks"]
+    assert list(forms) == ["NF1", "NF2", "NF3", "NF4", "Bot1", "Bot2", "Bot4"]
+    assert sum(f["count"] for f in forms.values()) == len(checks)
+    failing = [c for c in checks if not c["satisfied"]]
+    binding = [c for c in failing if not c["informational"]]
+    assert sum(f["violated"] for f in forms.values() if not f["informational"]) == len(binding) > 0
+    for label, f in forms.items():
+        rows = [c for c in checks if c["form"] == label]
+        assert f["count"] == len(rows)
+        assert f["violated"] == sum(not c["satisfied"] for c in rows)
+        if rows:
+            assert f["max"] == max(c["violation"] for c in rows)
+            assert f["worst"] in {c["axiom"] for c in rows if c["violation"] == f["max"]}
+
+
+def test_train_refuses_top_on_a_left_hand_side(tmp_path):
+    theory, ckpt = tmp_path / "top.el", tmp_path / "top.json"
+    theory.write_text("A < B\nTop < r some A\n")
+    done = run_console("train", "--theory", str(theory), "--epochs", "5", "--out", str(ckpt))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "elball: NF3 axiom 'Top < r some A' has Top on its left-hand side, "
+        "which no ball embedding satisfies"
+    ]
+    assert not ckpt.exists()

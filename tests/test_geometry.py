@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from elball.geometry import (
     containment_violation,
     intersection_ball,
 )
-from elball.normalizer import NormalizedTheory
+from elball.normalizer import NormalForm, NormalizedTheory
 from elball.ontology import class_vocabulary, Vocabulary
 
 
@@ -406,3 +407,66 @@ def test_array_checker_matches_scalar_reading(seed):
             assert check.violation == pytest.approx(v, rel=0, abs=1e-9 if form == "NF2" else 1e-12), check
         assert check.satisfied == (v <= tol), check
         assert check.informational == (form == "NF4")
+
+
+# --- the report's summary and its laziness -----------------------------------
+
+
+def family_model():
+    from elball.family import family_ontology
+    from elball.normalizer import eliminate_abox, normalize
+    from elball.trainer import TrainConfig, train
+
+    theory = normalize(eliminate_abox(family_ontology()))
+    e, _ = train(theory, TrainConfig(dim=2, epochs=50, batch_size=8, seed=0))
+    return theory, e
+
+
+def summaries_agree_with_checks(report):
+    binding = [c for c in report.checks if not c.informational]
+    assert report.overall == all(c.satisfied for c in binding)
+    assert report.max_violation == max((c.violation for c in binding), default=0.0)
+    assert list(report.forms) == [form.value for form in NormalForm]
+    for label, summary in report.forms.items():
+        rows = [c for c in report.checks if c.form == label]
+        assert summary.count == len(rows)
+        assert summary.violated == sum(not c.satisfied for c in rows)
+        assert summary.informational == (label == "NF4")
+        if rows:
+            worst = max(rows, key=lambda c: c.violation)  # the first on ties
+            assert (summary.max, summary.worst) == (worst.violation, worst.text)
+        else:
+            assert (summary.max, summary.worst) == (0.0, None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_summary_matches_checks_on_random_theories(seed):
+    theory, e = random_theory(np.random.default_rng(seed))
+    summaries_agree_with_checks(check_model(theory, e, 0.05))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.1, 100.0])
+def test_summary_matches_checks_on_the_family_kb(tol):
+    theory, e = family_model()
+    report = check_model(theory, e, tol)
+    summaries_agree_with_checks(report)
+    assert report.forms["Bot2"].count == len(theory.bot2) > 0
+
+
+def test_text_is_formatted_only_on_request(monkeypatch):
+    theory, e = random_theory(np.random.default_rng(0))
+    formatted = collections.Counter()
+    original = NormalForm.format
+
+    def counting(form, rows, names):
+        formatted[form.value] += len(rows)
+        return original(form, rows, names)
+
+    monkeypatch.setattr(NormalForm, "format", counting)
+    report = check_model(theory, e, 0.05)
+    report.overall, report.max_violation, report.forms
+    assert formatted and all(n <= 1 for n in formatted.values()), formatted
+    formatted.clear()
+    checks = report.checks
+    assert formatted == theory.counts() and len(checks) == theory.n_axioms()
+    assert report.checks is checks  # built once

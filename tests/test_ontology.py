@@ -152,6 +152,23 @@ def test_parse_errors_pin_message_line_and_column(text, line, column, message):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+def test_only_newline_ends_a_line(char):
+    # str.splitlines() breaks at each of these; the format does not
+    with pytest.raises(ParseError) as exc:
+        parse_ontology(f"A < B\nC <{char}D\n")
+    assert str(exc.value) == f"line 2, column 4: unexpected character {char!r}"
+    assert (exc.value.line, exc.value.column) == (2, 4)
+    with pytest.raises(ParseError, match="line 1, column 6: unexpected character"):
+        parse_ontology(f"A < B{char}C < D")
+
+
+def test_crlf_is_one_line_end():
+    onto = parse_ontology("A < B\r\n\r\nC < D\r\n")
+    assert onto.positions == [(1, 1), (3, 1)]
+    assert onto.axioms == parse_ontology("A < B\n\nC < D\n").axioms
+
+
 def test_format_gci_with_bot():
     onto = parse_ontology("Female and Male < Bot")
     assert format_axiom(onto.axioms[0], onto) == "Female and Male < Bot"

@@ -285,3 +285,40 @@ class TestTrain:
         )
         train(theory, cfg)
         assert calls == {"batch_gradient": 21, "Adam.step": 21, "generate_negatives": 8}
+
+
+# Top on a left-hand side: check_model reads such an axiom as inf, and its
+# loss is a constant near TOP_RADIUS that two rows of a minibatch overflow
+@pytest.mark.parametrize(
+    "axiom, form",
+    [
+        ("Top < A", "NF1"),
+        ("Top and Top < A", "NF2"),
+        ("Top < r some A", "NF3"),
+        ("Top < Bot", "Bot1"),
+        ("Top and A < Bot", "Bot2"),
+        ("r some Top < Bot", "Bot4"),
+    ],
+)
+def test_refuses_axioms_top_makes_unsatisfiable_before_the_first_step(axiom, form, monkeypatch):
+    from elball.ontology import parse_ontology
+
+    theory = normalize(parse_ontology(f"A < B\nC < r some D\n{axiom}\n"))
+    steps = []
+    monkeypatch.setattr(trainer, "batch_gradient", lambda *args: steps.append(args))
+    with pytest.raises(TrainingError) as exc:
+        train(theory, TrainConfig(dim=2, epochs=5, batch_size=4))
+    assert str(exc.value) == (
+        f"{form} axiom '{axiom}' has Top on its left-hand side, which no ball embedding satisfies"
+    )
+    assert not steps
+
+
+def test_top_where_it_holds_still_trains():
+    from elball.ontology import parse_ontology
+
+    theory = normalize(
+        parse_ontology("A < Top\nTop < Top\nA < r some Top\nr some Top < A\nTop and A < B\n")
+    )
+    e, trace = train(theory, TrainConfig(dim=2, epochs=5, batch_size=4))
+    assert np.isfinite(trace.minibatch).all()
