@@ -16,7 +16,7 @@ from .embeddings import EmbeddingSet, TOP_RADIUS
 from .evaluation import EvaluationError, embedding_score_fn, ranking_report
 from .geometry import check_model
 from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
-from .ontology import OntologyError, format_ontology, parse_ontology
+from .ontology import TOP_ID, OntologyError, format_ontology, parse_ontology
 from .trainer import NEG_MODES, TrainConfig, TrainingError, train
 
 # errors in what the user passed in, reported by ``run`` as one line and status 2
@@ -46,27 +46,22 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _rows(index: dict[str, int], names, kind: str) -> np.ndarray:
+    """The checkpoint row of each of ``names``, in order."""
+    missing = next((name for name in names if name not in index), None)
+    if missing is not None:
+        raise dataio.CheckpointError(f"checkpoint has no embedding for {kind} {missing!r}")
+    return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+
+
 def align_embeddings(ckpt: Checkpoint, theory: NormalizedTheory) -> EmbeddingSet:
     """Reindex checkpoint tables to the theory's vocabulary handles."""
-    cls_index = ckpt.class_index
-    rel_index = ckpt.relation_index
-    dim = ckpt.embeddings.dim
-    centers = np.zeros((len(theory.classes), dim))
-    radii = np.zeros(len(theory.classes))
-    for cid, name in enumerate(theory.classes):
-        if name not in cls_index:
-            raise dataio.CheckpointError(f"checkpoint has no embedding for class {name!r}")
-        src = cls_index[name]
-        centers[cid] = ckpt.embeddings.class_centers[src]
-        radii[cid] = ckpt.embeddings.class_radii[src]
-    rels = np.zeros((len(theory.relations), dim))
-    for rid, name in enumerate(theory.relations):
-        if name not in rel_index:
-            raise dataio.CheckpointError(f"checkpoint has no embedding for relation {name!r}")
-        rels[rid] = ckpt.embeddings.rel_vectors[rel_index[name]]
-    top = theory.classes.id("Top")
-    radii[top] = TOP_RADIUS
-    return EmbeddingSet(centers, radii, rels, top=top, bot=theory.classes.id("Bot"))
+    e = ckpt.embeddings
+    classes = _rows(ckpt.class_index, theory.classes, "class")
+    radii = e.class_radii[classes]
+    radii[TOP_ID] = TOP_RADIUS
+    rels = e.rel_vectors[_rows(ckpt.relation_index, theory.relations, "relation")]
+    return EmbeddingSet(e.class_centers[classes], radii, rels)
 
 
 def cmd_normalize(args) -> int:
@@ -104,7 +99,7 @@ def cmd_check(args) -> int:
         exc.args = (f"{args.ckpt}: {exc}",)
         raise
     report = check_model(theory, e, args.tol)
-    _write_out(json.dumps(report.to_dict(), indent=1) + "\n", args.out)
+    _write_out(json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n", args.out)
     return 0 if report.overall else 1
 
 

@@ -76,6 +76,11 @@ def save_checkpoint(
         },
     }
     path = Path(path)
+    dim = metadata.get("dim", e.dim)
+    if type(dim) is not int or dim != e.dim:
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: metadata dim {dim!r} is not the tables' dim {e.dim}"
+        )
     bad = _first_invalid(e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"cannot write checkpoint {path}: {bad}")

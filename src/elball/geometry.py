@@ -96,6 +96,11 @@ def intersection_ball(a: Ball, b: Ball) -> Optional[Ball]:
     return None if kind == _DISJOINT else (a if kind == _A else b)
 
 
+def _json_number(x: float):
+    """``x``, or its text ("inf", "-inf", "nan") where JSON has no number for it."""
+    return x if math.isfinite(x) else repr(float(x))
+
+
 @dataclass
 class AxiomCheck:
     form: str
@@ -110,7 +115,7 @@ class AxiomCheck:
             "form": self.form,
             "axiom": self.text,
             "satisfied": self.satisfied,
-            "violation": self.violation,
+            "violation": _json_number(self.violation),
             "informational": self.informational,
         }
 
@@ -188,9 +193,12 @@ class ModelReport:
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
-            "tolerance": self.tolerance,
-            "max_violation": self.max_violation,
-            "forms": {label: asdict(summary) for label, summary in self.forms.items()},
+            "tolerance": _json_number(self.tolerance),
+            "max_violation": _json_number(self.max_violation),
+            "forms": {
+                label: {**asdict(summary), "max": _json_number(summary.max)}
+                for label, summary in self.forms.items()
+            },
             "checks": [c.to_dict() for c in self.checks],
         }
 

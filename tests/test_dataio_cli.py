@@ -126,6 +126,21 @@ class TestCheckpoint:
         assert load_checkpoint(path).embeddings.class_radii[0] == TOP_RADIUS
 
 
+@pytest.mark.parametrize("dim", [3, 2.0])
+def test_save_refuses_a_metadata_dim_that_is_not_the_tables(tmp_path, dim):
+    path = tmp_path / "ckpt.json"
+    message = f"^cannot write checkpoint {re.escape(str(path))}: metadata dim {dim} "
+    with pytest.raises(CheckpointError, match=message):
+        save_checkpoint(path, sample_embeddings(dim=2), CLASS_NAMES, REL_NAMES, {"dim": dim})
+    assert list(tmp_path.iterdir()) == []
+    # an equal dim passes: re-saving a loaded checkpoint's metadata carries it
+    save_checkpoint(path, sample_embeddings(dim=2), CLASS_NAMES, REL_NAMES, {"dim": 2})
+    ckpt = load_checkpoint(path)
+    again = tmp_path / "again.json"
+    save_checkpoint(again, ckpt.embeddings, ckpt.class_names, ckpt.relation_names, ckpt.metadata)
+    assert again.read_bytes() == path.read_bytes()
+
+
 NON_FINITE = [
     ("class_centers", (2, 1), np.nan, "class 'A'"),
     ("class_radii", 3, np.inf, "class 'B'"),
@@ -686,3 +701,27 @@ def test_train_refuses_top_on_a_left_hand_side(tmp_path):
         "which no ball embedding satisfies"
     ]
     assert not ckpt.exists()
+
+
+def test_check_writes_strict_json_when_an_axiom_reads_inf(tmp_path):
+    trained, checked = tmp_path / "ab.el", tmp_path / "top.el"
+    ckpt, out = tmp_path / "ab.json", tmp_path / "report.json"
+    trained.write_text("A < B\n")
+    checked.write_text("A < B\nTop < A\n")
+    assert cli.main(["train", "--theory", str(trained), "--dim", "2", "--epochs", "20",
+                     "--out", str(ckpt)]) == 0
+    assert cli.main(["check", str(checked), str(ckpt), "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["max_violation"] == report["forms"]["NF1"]["max"] == "inf"
+    violation = {c["axiom"]: c["violation"] for c in report["checks"]}
+    assert violation["Top < A"] == "inf"
+    # finite values stay numbers, equal to those of a report with no inf in it
+    cli.main(["check", str(trained), str(ckpt), "--out", str(out)])
+    finite = json.loads(out.read_text(), parse_constant=refuse)
+    assert isinstance(violation["A < B"], float)
+    assert violation["A < B"] == finite["checks"][0]["violation"] == finite["max_violation"]
+    assert report["tolerance"] == finite["tolerance"] == 0.0

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 
 import numpy as np
@@ -290,6 +291,15 @@ class TestNonFinite:
         e = make_embeddings(np.zeros((5, 2)), [0, 0, math.nan, 1, 1])
         report = check_model(t, e, 0.1)
         assert report.checks[0].violation == math.inf and not report.overall
+
+    @pytest.mark.parametrize("tol", [math.inf, np.float64(math.inf)])
+    def test_to_dict_names_non_finite_values_as_strings(self, tol):
+        t = make_theory(nf1=[(C, D)])
+        e = make_embeddings(np.zeros((5, 2)), [0, 0, math.nan, 1, 1])
+        d = check_model(t, e, tol).to_dict()
+        json.dumps(d, allow_nan=False)
+        assert d["tolerance"] == "inf"
+        assert d["max_violation"] == d["forms"]["NF1"]["max"] == d["checks"][0]["violation"] == "inf"
 
 
 # --- the array checker against a scalar reading, axiom by axiom ------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elball import cli
 from elball.semsim import (
     SemSimError,
     bma_similarity,
@@ -151,8 +152,9 @@ def test_score_fn_adapter(chain):
     assert scores[2] == -math.inf
 
 
-def random_taxonomy(seed):
-    """A seeded DAG with a cycle, an unannotated branch and Top-only entities."""
+def random_taxonomy_inputs(seed):
+    """The edges and annotations of a seeded DAG with a cycle, an unannotated
+    branch and Top-only entities."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(12, 30))
     classes = [f"C{i}" for i in range(n)]
@@ -169,7 +171,11 @@ def random_taxonomy(seed):
         for k in range(int(rng.integers(10, 25)))
     }
     annotations.update({"TopOnly0": {"Top"}, "TopOnly1": {"Top"}, "Bare": set()})
-    return build_taxonomy(edges, annotations)
+    return edges, annotations
+
+
+def random_taxonomy(seed):
+    return build_taxonomy(*random_taxonomy_inputs(seed))
 
 
 def test_random_taxonomy_covers_edge_cases():
@@ -236,3 +242,24 @@ def test_scores_do_not_depend_on_the_hash_seed():
     assert first == second
     # the table scorer and the scalar BMA agree bit for bit in each process
     assert first[0::2] == first[1::2]
+
+
+@pytest.mark.parametrize("measure", ["resnik", "lin"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_scores_equal_the_in_memory_index(tmp_path, capsys, seed, measure):
+    """``elball semsim`` over ``random_taxonomy(seed)`` written to files."""
+    edges, annotations = random_taxonomy_inputs(seed)
+    index = build_taxonomy(edges, annotations)
+    names = [*index.annotations, "ghost"]  # "Bare" has no annotation row in the file
+    rng = np.random.default_rng(seed)
+    pairs = [(names[i], names[j]) for i, j in rng.integers(len(names), size=(80, 2))]
+    pairs += [("Bare", "E0"), ("E0", "Bare"), ("E0", "ghost"), ("ghost", "ghost"), ("E0", "E0")]
+    taxonomy, annots, pair_file = tmp_path / "tax.el", tmp_path / "annots.tsv", tmp_path / "pairs.tsv"
+    taxonomy.write_text("".join(f"{c} < {d}\n" for c, d in edges))
+    annots.write_text("".join(f"{e}\t{c}\n" for e, classes in annotations.items() for c in classes))
+    pair_file.write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+    command = ["semsim", "--taxonomy", str(taxonomy), "--annotations", str(annots),
+               "--pairs", str(pair_file), "--measure", measure]
+    assert cli.main(command) == 0
+    expect = [f"{a}\t{b}\t{index.entity_similarity(a, b, measure):.6f}" for a, b in pairs]
+    assert capsys.readouterr().out == "\n".join(expect) + "\n"
