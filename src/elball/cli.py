@@ -14,14 +14,14 @@ from . import dataio, semsim
 from .dataio import Checkpoint, load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingSet, TOP_RADIUS
 from .evaluation import EvaluationError, embedding_score_fn, ranking_report
-from .geometry import check_model
+from .geometry import GeometryError, check_model
 from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
 from .ontology import TOP_ID, OntologyError, format_ontology, parse_ontology
 from .trainer import NEG_MODES, TrainConfig, TrainingError, train
 
 # errors in what the user passed in, reported by ``run`` as one line and status 2
 INPUT_ERRORS = (OntologyError, NormalizationError, dataio.DataError, EvaluationError,
-                semsim.SemSimError, TrainingError, OSError)
+                GeometryError, semsim.SemSimError, TrainingError, OSError)
 
 
 def _load_theory(path: str) -> NormalizedTheory:

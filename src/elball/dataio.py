@@ -61,6 +61,17 @@ def save_checkpoint(
     metadata: dict,
 ) -> None:
     """Write a checkpoint atomically (temp file + rename), reproducible bytes."""
+    path = Path(path)
+    dim = metadata.get("dim", e.dim)
+    if type(dim) is not int or dim != e.dim:
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: metadata dim {dim!r} is not the tables' dim {e.dim}"
+        )
+    bad = _misnamed(e, class_names, relation_names) or _first_invalid(
+        e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names
+    )
+    if bad is not None:
+        raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
     payload = {
         "version": CHECKPOINT_VERSION,
         "metadata": {"dim": e.dim, **metadata},
@@ -75,15 +86,6 @@ def save_checkpoint(
             name: e.rel_vectors[i].tolist() for i, name in enumerate(relation_names)
         },
     }
-    path = Path(path)
-    dim = metadata.get("dim", e.dim)
-    if type(dim) is not int or dim != e.dim:
-        raise CheckpointError(
-            f"cannot write checkpoint {path}: metadata dim {dim!r} is not the tables' dim {e.dim}"
-        )
-    bad = _first_invalid(e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names)
-    if bad is not None:
-        raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -98,6 +100,20 @@ def save_checkpoint(
                 f"cannot write checkpoint {path}: metadata holds a NaN or ±inf"
             ) from None
         raise
+
+
+def _misnamed(e: EmbeddingSet, class_names: list[str], relation_names: list[str]) -> str | None:
+    """Why the names do not name the table rows one to one, or None when they do."""
+    tables = (("class", class_names, e.n_classes), ("relation", relation_names, e.n_relations))
+    for kind, names, rows in tables:
+        if len(names) != rows:
+            return f"{len(names)} {kind} names for a {rows}-row table"
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                return f"{kind} name {name!r} is repeated"
+            seen.add(name)
+    return None
 
 
 def _first_invalid(centers, radii, rels, class_names, relation_names) -> str | None:

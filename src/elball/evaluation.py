@@ -10,6 +10,8 @@ pessimistically: the true tail ranks worst among equal scores.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -50,6 +52,8 @@ class EmbeddingScorer:
     """
 
     def __init__(self, e: EmbeddingSet, class_index: dict, rel_index: dict, gamma: float):
+        if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not math.isfinite(gamma):
+            raise EvaluationError(f"gamma must be a finite real number, not {gamma!r}")
         self.e, self.class_index, self.rel_index, self.gamma = e, class_index, rel_index, gamma
 
     def __call__(self, head, rel, tails) -> np.ndarray:

@@ -254,8 +254,11 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
     NF4 is reported informationally only. Top on a right-hand side always
     passes; Top on a left-hand side (other than Top < Top) is unsatisfiable
     by construction and reads inf, and so does any axiom with a non-finite
-    center, radius or relation vector among its operands.
+    center, radius or relation vector among its operands. ``tol`` must be
+    non-negative (inf passes every finite violation).
     """
+    if not tol >= 0:  # NaN fails too
+        raise GeometryError(f"tolerance must be non-negative, not {tol!r}")
     finite = {"c": np.isfinite(e.class_centers).all(axis=1) & np.isfinite(e.class_radii)}
     finite["r"] = np.isfinite(e.rel_vectors).all(axis=1)
     names = theory.names()

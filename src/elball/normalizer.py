@@ -7,7 +7,6 @@ atomic class (possibly fresh or nominal-derived).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -184,19 +183,22 @@ def eliminate_abox(onto: Ontology) -> Ontology:
 
 
 def _contains_bot(concept: Concept) -> bool:
-    if isinstance(concept, Atomic):
-        return concept.cls == BOT_ID
-    if isinstance(concept, Conjunction):
-        return _contains_bot(concept.left) or _contains_bot(concept.right)
-    if isinstance(concept, Existential):
-        return _contains_bot(concept.filler)
+    for part in _flatten_conjunction(concept):
+        if part == BOT or isinstance(part, Existential) and _contains_bot(part.filler):
+            return True
     return False
 
 
 def _flatten_conjunction(concept: Concept) -> list[Concept]:
-    if isinstance(concept, Conjunction):
-        return _flatten_conjunction(concept.left) + _flatten_conjunction(concept.right)
-    return [concept]
+    """The conjuncts of a conjunction tree, left to right, without recursion."""
+    conjuncts, stack = [], [concept]
+    while stack:
+        concept = stack.pop()
+        if isinstance(concept, Conjunction):
+            stack += concept.right, concept.left
+        else:
+            conjuncts.append(concept)
+    return conjuncts
 
 
 def _normal_form(sub: Concept, sup: Concept) -> Optional[tuple[NormalForm, object]]:
@@ -239,10 +241,15 @@ def classify_axiom(axiom: Axiom) -> Optional[NormalForm]:
 def normalize(onto: Ontology) -> NormalizedTheory:
     """Rewrite a TBox-only ontology into the seven normal-form buckets.
 
-    Fresh classes are drawn from the "N#<k>" namespace in introduction
-    order; identical complex subconcepts reuse the same fresh name within
-    one run (per rewriting polarity). Axioms whose left-hand side contains
-    Bot are dropped as tautologies; duplicates are deduplicated. A
+    Rules (i)-(v) apply by direct recursion, so entries land in the order
+    the rewrites reach them. A fresh class named for a left-hand concept
+    is defined (concept < fresh) after the axiom that uses it, one named
+    for a right-hand filler (fresh < filler) before it, and the definitions
+    made for one left-hand conjunction are added last-first. Fresh classes
+    are drawn from the "N#<k>" namespace in introduction order; identical
+    complex subconcepts reuse the same fresh name within one run (per
+    rewriting polarity). Axioms whose left-hand side contains Bot are
+    dropped as tautologies; duplicates are deduplicated. A
     NormalizationError names the line of the input axiom it arose from.
     """
     theory = NormalizedTheory(
@@ -251,109 +258,87 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     # Fresh-name sharing is per polarity: "sub" entries carry a defining
     # axiom  fresh < concept,  "sup" entries carry  concept < fresh.
     fresh_of: dict[tuple[str, Concept], int] = {}
-    counter = 0
     # each bucket beside the set that deduplicates it
     buckets = {form: (getattr(theory, form.field), set()) for form in NormalForm}
 
     def fresh(concept: Concept, polarity: str) -> tuple[Atomic, bool]:
-        nonlocal counter
         key = (polarity, concept)
-        if key in fresh_of:
-            return Atomic(fresh_of[key]), False
-        cid = theory.classes.intern(f"{FRESH_PREFIX}{counter}")
-        counter += 1
-        theory.fresh.add(cid)
-        fresh_of[key] = cid
-        return Atomic(cid), True
+        is_new = key not in fresh_of
+        if is_new:
+            fresh_of[key] = theory.classes.intern(f"{FRESH_PREFIX}{len(theory.fresh)}")
+            theory.fresh.add(fresh_of[key])
+        return Atomic(fresh_of[key]), is_new
 
-    queue: deque[GCI] = deque()  # one input axiom's rewrites, depth first
+    def add(sub: Concept, sup: Concept) -> None:
+        found = _normal_form(sub, sup)
+        if found is not None:
+            form, entry = found
+            bucket, seen = buckets[form]
+            if entry not in seen:
+                seen.add(entry)
+                bucket.append(entry)
+        elif _contains_bot(sub):
+            return  # Bot in a (purely positive) EL concept makes it Bot: a tautology
+        elif isinstance(sup, Conjunction):
+            # (v) split conjunctions on the right
+            for part in _flatten_conjunction(sup):
+                add(sub, part)
+        elif isinstance(sup, Existential) and _contains_bot(sup):
+            # Bot on the right in a non-normal position
+            raise UnsupportedAxiomError(
+                "no normal form exists for Bot inside an existential filler "
+                "on the right-hand side"
+            )
+        elif not isinstance(sub, Atomic) and not isinstance(sup, Atomic):
+            # (iii) complex on both sides: route through a fresh middle class
+            mid, is_new = fresh(sub, "sup")
+            add(mid, sup)
+            if is_new:
+                add(sub, mid)
+        elif isinstance(sub, Atomic):
+            if not isinstance(sup, Existential):
+                raise NormalizationError(f"cannot normalize axiom {GCI(sub, sup)!r}")
+            # (iv) C < r some D-hat with complex filler
+            filler, is_new = fresh(sup.filler, "sub")
+            if is_new:
+                add(filler, sup.filler)
+            add(sub, Existential(sup.relation, filler))
+        elif isinstance(sub, Existential):
+            # (ii) r some C-hat < D with complex filler
+            filler, is_new = fresh(sub.filler, "sup")
+            add(Existential(sub.relation, filler), sup)
+            if is_new:
+                add(sub.filler, filler)
+        else:
+            # (i) a conjunction (or a lone nominal) < atomic: replace the complex
+            # conjuncts left to right, then fold the first pair until two remain
+            conjuncts = _flatten_conjunction(sub)
+            definitions = []
+            for i, conjunct in enumerate(conjuncts):
+                if not isinstance(conjunct, Atomic):
+                    conjuncts[i], is_new = fresh(conjunct, "sup")
+                    if is_new:
+                        definitions.append((conjunct, conjuncts[i]))
+            head = conjuncts[0]
+            for conjunct in conjuncts[1:-1]:
+                pair = Conjunction(head, conjunct)
+                head, is_new = fresh(pair, "sup")
+                if is_new:
+                    definitions.append((pair, head))
+            add(Conjunction(head, conjuncts[-1]) if len(conjuncts) > 1 else head, sup)
+            for definition in reversed(definitions):
+                add(*definition)
+
     for axiom, (line, _) in zip(onto.axioms, onto.positions):
         try:
             if not isinstance(axiom, GCI):
                 raise NormalizationError(
                     "ontology still contains ABox axioms; run eliminate_abox first"
                 )
-            queue.append(axiom)
-            while queue:
-                axiom = queue.popleft()
-                sub, sup = axiom.sub, axiom.sup
-                found = _normal_form(sub, sup)
-                if found is not None:
-                    form, entry = found
-                    bucket, seen = buckets[form]
-                    if entry not in seen:
-                        seen.add(entry)
-                        bucket.append(entry)
-                    continue
-
-                # Bot anywhere in a (purely positive) EL concept collapses it to Bot,
-                # so the inclusion is a tautology.
-                if _contains_bot(sub):
-                    continue
-
-                # (v) split conjunctions on the right
-                if isinstance(sup, Conjunction):
-                    queue.appendleft(GCI(sub, sup.right))
-                    queue.appendleft(GCI(sub, sup.left))
-                    continue
-
-                # Bot on the right in a non-normal position
-                if isinstance(sup, Existential) and _contains_bot(sup):
-                    raise UnsupportedAxiomError(
-                        "no normal form exists for Bot inside an existential filler "
-                        "on the right-hand side"
-                    )
-
-                # (iii) complex on both sides: route through a fresh middle class
-                if not isinstance(sub, Atomic) and not isinstance(sup, Atomic):
-                    mid, is_new = fresh(sub, "sup")
-                    if is_new:
-                        queue.appendleft(GCI(sub, mid))
-                    queue.appendleft(GCI(mid, sup))
-                    continue
-
-                if isinstance(sub, Atomic):
-                    # (iv) C < r some D-hat with complex filler
-                    if isinstance(sup, Existential):
-                        filler, is_new = fresh(sup.filler, "sub")
-                        queue.appendleft(GCI(sub, Existential(sup.relation, filler)))
-                        if is_new:
-                            queue.appendleft(GCI(filler, sup.filler))
-                        continue
-                    raise NormalizationError(f"cannot normalize axiom {axiom!r}")
-
-                if isinstance(sub, Existential):
-                    # (ii) r some C-hat < D with complex filler
-                    filler, is_new = fresh(sub.filler, "sup")
-                    if is_new:
-                        queue.appendleft(GCI(sub.filler, filler))
-                    queue.appendleft(GCI(Existential(sub.relation, filler), sup))
-                    continue
-
-                # sub is a conjunction with an atomic right-hand side
-                conjuncts = _flatten_conjunction(sub)
-                complex_idx = next(
-                    (i for i, c in enumerate(conjuncts) if not isinstance(c, Atomic)), None
-                )
-                if complex_idx is not None:
-                    # (i) replace the first complex conjunct with a fresh class
-                    replacement, is_new = fresh(conjuncts[complex_idx], "sup")
-                    if is_new:
-                        queue.appendleft(GCI(conjuncts[complex_idx], replacement))
-                    conjuncts[complex_idx] = replacement
-                else:
-                    # more than two atomic conjuncts: fold the first pair
-                    pair = Conjunction(conjuncts[0], conjuncts[1])
-                    replacement, is_new = fresh(pair, "sup")
-                    if is_new:
-                        queue.appendleft(GCI(pair, replacement))
-                    conjuncts = [replacement] + conjuncts[2:]
-                rebuilt = conjuncts[0]
-                for c in conjuncts[1:]:
-                    rebuilt = Conjunction(rebuilt, c)
-                queue.appendleft(GCI(rebuilt, sup))
+            add(axiom.sub, axiom.sup)
         except NormalizationError as exc:
             if line:  # axioms built in code carry line 0
                 exc.args = (f"line {line}: {exc}",)
             raise
+    del add  # add refers to itself, so only the cyclic GC would free its closure
     return theory

@@ -13,6 +13,7 @@ embedding.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,10 @@ class TrainConfig:
             raise TrainingError("epochs and negatives_per_positive must be non-negative")
         if self.neg_mode not in NEG_MODES:
             raise TrainingError(f"unknown neg_mode {self.neg_mode!r}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise TrainingError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
+        if not math.isfinite(self.margin):
+            raise TrainingError(f"margin must be finite, not {self.margin!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from elball.dataio import (
     split_pairs,
 )
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
-from elball.evaluation import entity_index
+from elball.evaluation import LinkSplit, entity_index
 from elball.family import FAMILY_KB
 from elball.normalizer import UnsupportedAxiomError, eliminate_abox, normalize
 from elball.ontology import (
@@ -139,6 +139,27 @@ def test_save_refuses_a_metadata_dim_that_is_not_the_tables(tmp_path, dim):
     again = tmp_path / "again.json"
     save_checkpoint(again, ckpt.embeddings, ckpt.class_names, ckpt.relation_names, ckpt.metadata)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "class_names, relation_names, n_rels, why",
+    [
+        (["Top", "Bot", "A", "A"], REL_NAMES, 1, "class name 'A' is repeated"),
+        (["Top", "Bot", "A"], REL_NAMES, 1, "3 class names for a 4-row table"),
+        (CLASS_NAMES + ["C"], REL_NAMES, 1, "5 class names for a 4-row table"),
+        (CLASS_NAMES, [], 1, "0 relation names for a 1-row table"),
+        (CLASS_NAMES, ["r", "r"], 2, "relation name 'r' is repeated"),
+    ],
+    ids=["repeated class", "fewer classes", "more classes", "fewer relations", "repeated relation"],
+)
+def test_save_refuses_names_that_do_not_match_the_rows_one_to_one(
+    tmp_path, class_names, relation_names, n_rels, why
+):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(path, sample_embeddings(n_rels=n_rels), class_names, relation_names, {})
+    assert str(info.value) == f"cannot write checkpoint {path}: {why}"
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
 
 
 NON_FINITE = [
@@ -725,3 +746,66 @@ def test_check_writes_strict_json_when_an_axiom_reads_inf(tmp_path):
     assert isinstance(violation["A < B"], float)
     assert violation["A < B"] == finite["checks"][0]["violation"] == finite["max_violation"]
     assert report["tolerance"] == finite["tolerance"] == 0.0
+
+
+def run_in_process(capsys, *argv):
+    """``elball`` run in this process: its exit status and its stderr lines."""
+    status = cli.run(list(argv))
+    return status, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lr", "-0.01"], "learning_rate must be positive and finite, not -0.01"),
+        (["--lr", "0"], "learning_rate must be positive and finite, not 0.0"),
+        (["--lr", "nan"], "learning_rate must be positive and finite, not nan"),
+        (["--margin", "inf"], "margin must be finite, not inf"),
+        (["--margin", "nan"], "margin must be finite, not nan"),
+    ],
+)
+def test_train_refuses_a_rate_or_margin_that_makes_training_meaningless(
+    family_file, tmp_path, capsys, flags, message
+):
+    ckpt = tmp_path / "family.json"
+    argv = ["train", "--theory", str(family_file), "--epochs", "5", *flags, "--out", str(ckpt)]
+    assert run_in_process(capsys, *argv) == (2, [f"elball: {message}"])
+    assert not ckpt.exists()
+
+
+@pytest.fixture
+def trained_family(family_file, tmp_path):
+    ckpt = tmp_path / "family.json"
+    assert cli.main(["train", "--theory", str(family_file), "--dim", "2", "--epochs", "20",
+                     "--out", str(ckpt)]) == 0
+    return family_file, ckpt
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.5"])
+def test_check_refuses_a_nan_or_negative_tolerance(trained_family, capsys, tol):
+    theory, ckpt = trained_family
+    status, err = run_in_process(capsys, "check", str(theory), str(ckpt), "--tol", tol)
+    assert (status, err) == (2, [f"elball: tolerance must be non-negative, not {float(tol)!r}"])
+
+
+def test_check_passes_every_finite_violation_at_an_infinite_tolerance(trained_family, tmp_path):
+    theory, ckpt = trained_family
+    out = tmp_path / "report.json"
+    assert cli.main(["check", str(theory), str(ckpt), "--tol", "inf", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerance"] == "inf"
+
+
+@pytest.mark.parametrize("gamma, margin", [("nan", -0.1), (None, "0.1"), (None, None)])
+def test_evaluate_refuses_a_gamma_that_is_not_a_finite_number(tmp_path, capsys, gamma, margin):
+    path, split_dir = tmp_path / "ckpt.json", tmp_path / "split"
+    names = ["Top", "Bot", "{P0}", "{P1}"]
+    save_checkpoint(path, sample_embeddings(), names, ["interacts"], {"margin": margin})
+    split = LinkSplit(train=[("P0", "interacts", "P1")], test=[("P1", "interacts", "P0")])
+    dataio.write_split(split, split_dir)
+    argv = ["evaluate", "--ckpt", str(path), "--split", str(split_dir)]
+    if gamma is not None:
+        argv += ["--gamma", gamma]
+    wrong = float(gamma) if gamma is not None else margin
+    assert run_in_process(capsys, *argv) == (
+        2, [f"elball: gamma must be a finite real number, not {wrong!r}"]
+    )

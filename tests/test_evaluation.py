@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,18 @@ class TestScore:
 
         want = [printed(d) for d in (3, 4, 5)]
         assert np.allclose(got, want)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, np.nan, True, "0.1", None])
+    def test_refuses_a_gamma_that_is_not_a_finite_real(self, gamma):
+        e = embed([(0, 0), (0, 0)], [0, 0], [[0, 0]])
+        message = f"gamma must be a finite real number, not {gamma!r}"
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            embedding_score_fn(e, {"A": 0}, {"r": 0}, gamma)
+
+    @pytest.mark.parametrize("gamma", [0, -0.1, np.float32(0.5), np.float64(2.0)])
+    def test_accepts_a_finite_real_gamma(self, gamma):
+        e = embed([(0, 0), (9, 9), (0, 0)], [0, 0, 0.5], [[0, 0]])
+        assert embedding_score_fn(e, {"A": 2}, {"r": 0}, gamma)("A", "r", ["A"])[0] == 0.0
 
     def test_missing_symbol(self):
         e = embed([(0, 0), (0, 0)], [0, 0], [[0, 0]])

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,54 @@ def test_three_way_conjunction():
     theory = normalize(parse_ontology("A and B and C < D"))
     assert len(theory.fresh) == 1
     assert len(theory.nf2) == 2
+
+
+def test_left_conjunction_of_complex_and_atomic_conjuncts_golden():
+    # complex conjuncts get fresh names left to right, then the first pair
+    # folds until two conjuncts remain; the definitions follow the axiom
+    # that uses them, last one first
+    theory = normalize(parse_ontology("r some (A and s some B) and C and s some D and E < F"))
+    names = theory.names()
+    assert {form.value: form.format(theory.handles(form), names) for form in NormalForm} == {
+        "NF1": [],
+        "NF2": ["N#3 and E < F", "N#2 and N#1 < N#3", "N#0 and C < N#2", "A and N#5 < N#4"],
+        "NF3": [],
+        "NF4": ["s some D < N#1", "r some N#4 < N#0", "s some B < N#5"],
+        "Bot1": [],
+        "Bot2": [],
+        "Bot4": [],
+    }
+    assert sorted(theory.classes.name(c) for c in theory.fresh) == [f"N#{k}" for k in range(6)]
+
+
+LONG_CONJUNCTIONS = {  # shape -> (axiom text, nonempty bucket sizes, fresh classes)
+    "left atomic": (" and ".join(f"A{i}" for i in range(900)) + " < B", {"NF2": 899}, 898),
+    "left existential": (
+        " and ".join(f"r some A{i}" for i in range(900)) + " < B", {"NF2": 899, "NF4": 900}, 1798
+    ),
+    "right atomic": ("B < " + " and ".join(f"A{i}" for i in range(900)), {"NF1": 900}, 0),
+}
+
+
+@pytest.mark.parametrize("shape", LONG_CONJUNCTIONS)
+def test_long_conjunctions_normalize_without_recursion_error(shape):
+    text, sizes, n_fresh = LONG_CONJUNCTIONS[shape]
+    theory = normalize(parse_ontology(text))
+    assert {form: n for form, n in theory.counts().items() if n} == sizes
+    assert len(theory.fresh) == n_fresh
+
+
+def test_normalize_leaves_no_reference_cycle():
+    # a cycle would keep the fresh-name table and the dedup sets alive
+    # until the cyclic collector runs, which raises peak memory
+    onto = parse_ontology("r some (A and s some B) and C < D\nA < r some (B and C)\nA < B and C\n")
+    gc.collect()
+    gc.disable()
+    try:
+        normalize(onto)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_duplicates_removed():

@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.01),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("margin", math.inf),
+            ("margin", -math.inf),
+            ("margin", math.nan),
+        ],
+    )
+    def test_refuses_a_rate_or_margin_that_makes_training_meaningless(self, field, value):
+        with pytest.raises(TrainingError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
 
 class TestAdam:
