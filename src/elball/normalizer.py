@@ -129,6 +129,11 @@ class NormalizedTheory:
         return onto
 
 
+def _nested_too_deeply(line: int) -> NormalizationError:
+    """The error for an axiom whose rewriting ran out of Python stack."""
+    return NormalizationError((f"line {line}: " if line else "") + "axiom nested too deeply to normalize")
+
+
 def nominal_class_name(individual_name: str) -> str:
     return "{" + individual_name + "}"
 
@@ -167,17 +172,20 @@ def eliminate_abox(onto: Ontology) -> Ontology:
             return Conjunction(convert(concept.left), convert(concept.right))
         return concept
 
-    for axiom, position in zip(onto.axioms, onto.positions):
-        if isinstance(axiom, RoleAssertion):
-            converted: Axiom = GCI(
-                nominal_class(axiom.subject),
-                Existential(axiom.relation, nominal_class(axiom.object)),
-            )
-        elif isinstance(axiom, Instantiation):
-            converted = GCI(nominal_class(axiom.individual), convert(axiom.concept))
-        else:
-            converted = GCI(convert(axiom.sub), convert(axiom.sup))
-        out.add(converted, position)
+    try:
+        for axiom, position in zip(onto.axioms, onto.positions):
+            if isinstance(axiom, RoleAssertion):
+                converted: Axiom = GCI(
+                    nominal_class(axiom.subject),
+                    Existential(axiom.relation, nominal_class(axiom.object)),
+                )
+            elif isinstance(axiom, Instantiation):
+                converted = GCI(nominal_class(axiom.individual), convert(axiom.concept))
+            else:
+                converted = GCI(convert(axiom.sub), convert(axiom.sup))
+            out.add(converted, position)
+    except RecursionError:
+        raise _nested_too_deeply(position[0]) from None
     some.clear()  # convert refers to itself, so only the cyclic GC would free it
     return out
 
@@ -249,8 +257,9 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     are drawn from the "N#<k>" namespace in introduction order; identical
     complex subconcepts reuse the same fresh name within one run (per
     rewriting polarity). Axioms whose left-hand side contains Bot are
-    dropped as tautologies; duplicates are deduplicated. A
-    NormalizationError names the line of the input axiom it arose from.
+    dropped as tautologies; duplicates are deduplicated. A nominal is
+    refused: ``eliminate_abox`` must run first. A NormalizationError names
+    the line of the input axiom it arose from.
     """
     theory = NormalizedTheory(
         classes=onto.classes.copy(), relations=onto.relations.copy()
@@ -277,6 +286,13 @@ def normalize(onto: Ontology) -> NormalizedTheory:
             if entry not in seen:
                 seen.add(entry)
                 bucket.append(entry)
+        elif nominals := [c for c in (sub, sup) if isinstance(c, Nominal)]:
+            # the rules below bring every nested nominal to a side of an axiom of its
+            # own; one in a tautology is dropped with it, as after eliminate_abox
+            name = onto.individuals.name(nominals[0].individual)
+            raise NormalizationError(
+                f"nominal {nominal_class_name(name)} in a GCI; run eliminate_abox first"
+            )
         elif _contains_bot(sub):
             return  # Bot in a (purely positive) EL concept makes it Bot: a tautology
         elif isinstance(sup, Conjunction):
@@ -296,8 +312,6 @@ def normalize(onto: Ontology) -> NormalizedTheory:
             if is_new:
                 add(sub, mid)
         elif isinstance(sub, Atomic):
-            if not isinstance(sup, Existential):
-                raise NormalizationError(f"cannot normalize axiom {GCI(sub, sup)!r}")
             # (iv) C < r some D-hat with complex filler
             filler, is_new = fresh(sup.filler, "sub")
             if is_new:
@@ -310,7 +324,7 @@ def normalize(onto: Ontology) -> NormalizedTheory:
             if is_new:
                 add(sub.filler, filler)
         else:
-            # (i) a conjunction (or a lone nominal) < atomic: replace the complex
+            # (i) a conjunction < atomic: replace the complex
             # conjuncts left to right, then fold the first pair until two remain
             conjuncts = _flatten_conjunction(sub)
             definitions = []
@@ -336,6 +350,8 @@ def normalize(onto: Ontology) -> NormalizedTheory:
                     "ontology still contains ABox axioms; run eliminate_abox first"
                 )
             add(axiom.sub, axiom.sup)
+        except RecursionError:
+            raise _nested_too_deeply(line) from None
         except NormalizationError as exc:
             if line:  # axioms built in code carry line 0
                 exc.args = (f"line {line}: {exc}",)

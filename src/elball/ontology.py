@@ -219,9 +219,15 @@ class _LineParser:
             raise ParseError(f"expected a name, found {tok[1]!r}", self.lineno, tok[2])
         return tok[1], tok[2]
 
+    def parse_axiom(self) -> Axiom:
+        try:
+            return self._parse_axiom()
+        except RecursionError:
+            raise ParseError("concept nested too deeply", self.lineno, self.peek()[2]) from None
+
     # axiom := concept "<" concept | IDENT "(" IDENT "," IDENT ")"
     #        | "{" IDENT "}" ":" concept
-    def parse_axiom(self) -> Axiom:
+    def _parse_axiom(self) -> Axiom:
         if self.peek()[0] == "ident" and self.peek(1)[0] == "(":
             axiom = self._parse_role_assertion()
         else:

@@ -9,11 +9,10 @@ undefined IC and are excluded from common-ancestor maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 ROOT = "Top"
@@ -26,10 +25,14 @@ class SemSimError(Exception):
 
 @dataclass
 class TaxonomyIndex:
-    """Condensed (cycle-free) subsumption DAG with annotation-based IC."""
+    """A subsumption taxonomy over nodes, with annotation-based IC.
 
-    node_of: dict[Hashable, int]  # class -> condensation node
-    ancestors: dict[int, frozenset[int]]  # node -> ancestor nodes incl. self
+    The classes of one cycle share a node. Every node's ancestors include
+    itself and the root's node, so they form a DAG under the root.
+    """
+
+    node_of: dict[Hashable, int]  # class -> node, shared by the classes of a cycle
+    ancestors: dict[int, frozenset[int]]  # node -> ancestor nodes incl. self and the root
     ic: dict[int, Optional[float]]  # node -> IC, None when unannotated
     annotations: dict[Hashable, frozenset[Hashable]]  # entity -> classes
 
@@ -95,45 +98,41 @@ def build_taxonomy(
 ) -> TaxonomyIndex:
     """Index a taxonomy from (subclass, superclass) edges and entity annotations.
 
-    Cycles are collapsed to equivalence groups; classes without an asserted
-    superclass hang under the root so every class has the root as ancestor.
+    The classes are the root and both ends of every edge whose ends differ.
+    Every class but the root has the root as a parent, so the root is an
+    ancestor of every class and no IC is negative. Each class's ancestors
+    are found by a stack walk up the parents; classes with equal ancestor
+    sets, exactly the members of one cycle, share one node.
     """
-    graph = nx.DiGraph()
-    graph.add_node(root)
+    parents: dict[Hashable, set] = {root: set()}
     for child, parent in edges:
         if child != parent:
-            graph.add_edge(child, parent)
-    for cls in list(graph.nodes):
-        if cls != root and graph.out_degree(cls) == 0:
-            graph.add_edge(cls, root)
+            parents.setdefault(child, {root}).add(parent)
+            parents.setdefault(parent, {root})
 
-    condensed = nx.condensation(graph)
-    node_of = {
-        cls: node for node, data in condensed.nodes(data=True) for cls in data["members"]
-    }
-    ancestors = {
-        node: frozenset(nx.descendants(condensed, node)) | {node}
-        for node in condensed.nodes
-    }
+    closure_node: dict[frozenset, int] = {}  # ancestor set -> node
+    node_of = {}
+    for cls in parents:
+        seen, stack = {cls}, [cls]
+        while stack:
+            for parent in parents[stack.pop()]:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        node_of[cls] = closure_node.setdefault(frozenset(seen), len(closure_node))
+    ancestors = {node: frozenset(map(node_of.__getitem__, c)) for c, node in closure_node.items()}
 
-    annot: dict[Hashable, frozenset] = {}
-    counts: dict[int, int] = {node: 0 for node in condensed.nodes}
-    for entity, classes in annotations.items():
-        classes = frozenset(classes)
+    annot = {entity: frozenset(classes) for entity, classes in annotations.items()}
+    counts = dict.fromkeys(ancestors, 0)
+    for entity, classes in annot.items():
         for cls in classes:
             if cls not in node_of:
-                raise SemSimError(
-                    f"entity {entity!r} annotated with unknown class {cls!r}"
-                )
-        annot[entity] = classes
-        closure = frozenset().union(*(ancestors[node_of[c]] for c in classes)) if classes else frozenset()
-        for node in closure:
+                raise SemSimError(f"entity {entity!r} annotated with unknown class {cls!r}")
+        for node in frozenset().union(*(ancestors[node_of[c]] for c in classes)):
             counts[node] += 1
-
+    # the root is an ancestor of every class, so count > 0 implies total > 0
     total = counts[node_of[root]]
-    ic: dict[int, Optional[float]] = {}
-    for node, count in counts.items():
-        ic[node] = -math.log(count / total) if count > 0 and total > 0 else None
+    ic = {node: -math.log(count / total) if count else None for node, count in counts.items()}
 
     return TaxonomyIndex(node_of=node_of, ancestors=ancestors, ic=ic, annotations=annot)
 

@@ -809,3 +809,35 @@ def test_evaluate_refuses_a_gamma_that_is_not_a_finite_number(tmp_path, capsys, 
     assert run_in_process(capsys, *argv) == (
         2, [f"elball: gamma must be a finite real number, not {wrong!r}"]
     )
+
+
+@pytest.mark.parametrize("axiom, message", [
+    # the parser runs out of stack on the filler
+    ("r some (" * 340 + "A and B" + ")" * 340 + " < C", r"line 2, column \d+: concept nested too deeply"),
+    # the text parses; rewriting the nested filler runs out of stack
+    ("A < " + "r some " * 500 + "B", "line 2: axiom nested too deeply to normalize"),
+    # a flat conjunction parses into a left-nested tree that eliminate_abox walks
+    (" and ".join(f"A{i}" for i in range(3000)) + " < C", "line 2: axiom nested too deeply to normalize"),
+], ids=["parse", "normalize", "eliminate_abox"])
+def test_deep_nesting_is_an_input_error(tmp_path, capsys, axiom, message):
+    path = tmp_path / "deep.el"
+    path.write_text("A < B\n" + axiom + "\n")
+    status, err = run_in_process(capsys, "normalize", str(path))
+    assert status == 2 and len(err) == 1
+    assert re.fullmatch(f"elball: {re.escape(str(path))}: {message}", err[0])
+
+
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import elball, elball.cli
+print(*sorted({m.partition(".")[0] for m in set(sys.modules) - before} - sys.stdlib_module_names))
+"""
+
+
+def test_importing_elball_loads_no_package_but_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_PACKAGES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["elball", "numpy"]

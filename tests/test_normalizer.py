@@ -289,6 +289,21 @@ def test_normalization_errors_name_the_input_line():
         normalize(parse_ontology("A < B\nhasChild(a, b)\n"))
 
 
+
+@pytest.mark.parametrize("text, name", [
+    ("{a} < B", "a"),
+    ("r some {a} < B", "a"),
+    ("A < {b}", "b"),
+    ("A < r some (B and {c})", "c"),
+    ("A and {d} < Bot", "d"),
+])
+def test_nominal_concepts_require_eliminate_abox(text, name):
+    message = f"^line 2: nominal {{{name}}} in a GCI; run eliminate_abox first$"
+    with pytest.raises(NormalizationError, match=message):
+        normalize(parse_ontology("A < B\n" + text))
+    theory = normalize(eliminate_abox(parse_ontology(text)))
+    assert f"{{{name}}}" in theory.classes
+
 # every bucket nonempty, with Top, Bot, fresh "N#k" names and "{a}" classes
 EVERY_FORM = """\
 A and B and C < D

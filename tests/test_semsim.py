@@ -109,6 +109,14 @@ class TestResnikLin:
         assert index.resnik("A", "B") == pytest.approx(LOG2)
         assert index.lin("A", "B") == 1.0
 
+    def test_cycle_without_superclass_hangs_under_the_root(self):
+        index = build_taxonomy(
+            [("A", "B"), ("B", "A"), ("C", "Top")], {"e1": {"A"}, "e2": {"A"}, "e3": {"C"}}
+        )
+        assert index.node_of["Top"] in index.ancestors[index.node_of["A"]]
+        assert index.class_ic("A") == -math.log(2 / 3)
+        assert index.resnik("A", "C") == index.class_ic("Top")
+
 
 class TestBma:
     def test_identical_sets_under_lin(self, chain):
@@ -185,6 +193,14 @@ def test_random_taxonomy_covers_edge_cases():
     assert math.copysign(1.0, index.class_ic("Top")) == -1.0  # IC -0.0
     sizes = {len(c) for c in index.annotations.values()}
     assert 0 in sizes and max(sizes) > 8
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_root_is_every_ancestor_set_and_no_ic_is_negative(seed):
+    index = random_taxonomy(seed)
+    root = index.node_of["Top"]
+    assert all(root in ancestors for ancestors in index.ancestors.values())
+    assert all(ic >= 0.0 for ic in index.ic.values() if ic is not None)
 
 
 @pytest.mark.parametrize("measure", ["resnik", "lin"])
