@@ -208,24 +208,28 @@ def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     The queries of each relation are scored together against its whole
     candidate pool, once each. Filtered ranking excludes train and
     validation tails for the same (head, relation); other test triples
-    are not excluded.
+    are not excluded. Only the queried (head, relation) keys are indexed,
+    so the filter costs one membership test per train or valid triple.
     """
     if not split.test:
         raise EvaluationError("empty test set")
 
     known: dict[tuple, set] = {}
-    for h, r, t in split.train + split.valid:
-        known.setdefault((h, r), set()).add(t)
     by_rel: dict = {}
     for q, (h, r, t) in enumerate(split.test):
         by_rel.setdefault(r, []).append(q)
+        known.setdefault((h, r), set())
+    queried = {h for h, _ in known}
+    for h, r, t in chain(split.train, split.valid):
+        if h in queried and (wanted := known.get((h, r))) is not None:
+            wanted.add(t)
 
     # per query in split.test order: raw rank, raw pool, filtered rank, filtered pool
     raw, n, filt, n_f = np.empty((4, len(split.test)), dtype=np.intp)
     for r, queries in by_rel.items():
         heads, _, tails = zip(*map(split.test.__getitem__, queries))
         pool = list(split.candidate_tails(r))
-        exclude = [known.get((h, r), ()) for h in heads]
+        exclude = [known[h, r] for h in heads]
         raw[queries], filt[queries], n_f[queries] = _rank(score_fn, heads, r, tails, pool, exclude)
         n[queries] = len(pool)
 

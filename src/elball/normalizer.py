@@ -168,9 +168,23 @@ def eliminate_abox(onto: Ontology) -> Ontology:
             if node is None:
                 node = some[id(concept)] = Existential(concept.relation, convert(concept.filler))
             return node
-        if isinstance(concept, Conjunction):
-            return Conjunction(convert(concept.left), convert(concept.right))
-        return concept
+        if not isinstance(concept, Conjunction):
+            return concept
+        # the parser builds a flat conjunction as a left-nested tree as deep as
+        # it is long, so the tree is rebuilt post-order from an explicit stack,
+        # where None marks a node whose two converted children are done
+        stack: list[Optional[Concept]] = [concept]
+        done: list[Concept] = []
+        while stack:
+            node = stack.pop()
+            if node is None:
+                right = done.pop()
+                done.append(Conjunction(done.pop(), right))
+            elif isinstance(node, Conjunction):
+                stack += None, node.right, node.left
+            else:
+                done.append(convert(node))
+        return done[0]
 
     try:
         for axiom, position in zip(onto.axioms, onto.positions):

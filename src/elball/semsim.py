@@ -166,11 +166,13 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
 
     Built once: a K×K float64 table of the measure over the K taxonomy nodes
     that annotate some entity (K²×8 bytes, 180 kB at K = 150), and per entity
-    a padded row of table columns in ``sorted(annotations[e])`` order, the
-    order ``bma_similarity`` sees. Each call then takes every best match with
-    array maxima and adds them left to right from 0.0, as ``sum`` does, so
-    its scores equal ``entity_similarity``'s bit for bit. Unannotated or
-    unknown heads and tails score -inf.
+    a padded column of its classes' table columns in ``sorted(annotations[e])``
+    order, the order ``bma_similarity`` sees. Each call then takes every best
+    match with array maxima, a head class's over the slot axis of a (head
+    classes, slots, tails) gather, so that each maximum runs between
+    contiguous rows of tails, and adds them left to right from 0.0, as ``sum``
+    does, so its scores equal ``entity_similarity``'s bit for bit. Unannotated
+    or unknown heads and tails score -inf.
     """
     if measure not in MEASURES:
         raise SemSimError(f"unknown measure {measure!r}")
@@ -179,14 +181,14 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
     column = {node: k for k, node in enumerate(nodes)}
     pad = len(nodes)
     width = max((len(index.annotations[e]) for e in entities), default=0)
-    # one row per entity plus a blank row for unknown and unannotated names;
-    # the blank row's size is 1, as its -inf best matches decide its score
-    cols = np.full((len(entities) + 1, width), pad, dtype=np.intp)
+    # one column per entity plus a blank column for unknown and unannotated
+    # names; the blank column's size is 1, as its -inf best matches decide its score
+    cols = np.full((width, len(entities) + 1), pad, dtype=np.intp)
     sizes = np.ones(len(entities) + 1, dtype=np.intp)
     for i, e in enumerate(entities):
-        row = [column[index.node_of[c]] for c in sorted(index.annotations[e])]
-        cols[i, : len(row)] = row
-        sizes[i] = len(row)
+        slots = [column[index.node_of[c]] for c in sorted(index.annotations[e])]
+        cols[: len(slots), i] = slots
+        sizes[i] = len(slots)
     row_of = {e: i for i, e in enumerate(entities)}
     blank = len(entities)
     # the padding column is -inf, so a row maximum never picks it
@@ -198,15 +200,15 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
         if h is None:
             return np.full(n, -math.inf)
         rows = np.fromiter(map(row_of.get, tails, repeat(blank)), np.intp, n)
-        tail_cols = cols[rows]
-        head_rows = table[cols[h, : sizes[h]]]
-        best1 = head_rows[:, tail_cols].max(axis=2)
+        tail_cols = cols[:, rows]  # slots × n
+        head_rows = table[cols[: sizes[h], h]]
+        best1 = head_rows[:, tail_cols].max(axis=1)
         # padded tail columns gather 0.0, which leaves a sum from 0.0 unchanged
         best2 = np.append(head_rows[:, :pad].max(axis=0), 0.0)[tail_cols]
         s1 = s2 = 0.0
         for best in best1:
             s1 = s1 + best
-        for best in best2.T:
+        for best in best2:
             s2 = s2 + best
         return 0.5 * (s1 / len(head_rows) + s2 / sizes[rows])
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .ontology import TOP_ID
 logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 100  # draws per negative before its positive is skipped
+_SAMPLE_STEPS = 32  # static-negative steps whose minibatch indices one draw makes
 NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
 
@@ -204,23 +207,38 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         )
         return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
 
-    neg_array = make_negatives()
-
     # minibatches draw from the theory's buckets in NormalForm order, then the negatives
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
 
-    for epoch in range(cfg.epochs):
-        if cfg.neg_mode == "fresh":
-            neg_array = make_negatives()
-        for _ in range(cfg.steps_per_epoch):
-            batch = LossBatch(
-                cfg.margin,
-                **{
-                    name: rows[rng.integers(len(rows), size=cfg.batch_size)] if len(rows) else rows
-                    for name, rows in (*pools, ("neg", neg_array))
-                },
+    def minibatches(steps: int, negatives: np.ndarray) -> Iterator[LossBatch]:
+        """``steps`` minibatches whose row indices one call draws. The broadcast
+        draw reads the generator stream as one call per step and nonempty pool
+        would, in the same order, so the batches equal such a loop's. Rows are
+        gathered step by step: chunk-sized row arrays living across steps
+        added minor page faults to every step."""
+        named = (*pools, ("neg", negatives))
+        full = [(name, rows) for name, rows in named if len(rows)]
+        sizes = np.array([len(rows) for _, rows in full], dtype=np.intp)
+        draws = rng.integers(0, sizes[None, :, None], size=(steps, len(full), cfg.batch_size))
+        empty = {name: rows for name, rows in named if not len(rows)}
+        for step in draws:
+            yield LossBatch(
+                cfg.margin, **empty, **{name: rows[i] for (name, rows), i in zip(full, step)}
             )
 
+    neg_array = make_negatives()
+    # static negatives leave the generator to the minibatches, so their draws
+    # span epochs; fresh ones are drawn between epochs, so each epoch draws its own
+    total = cfg.epochs * cfg.steps_per_epoch
+    batches = chain.from_iterable(
+        minibatches(min(_SAMPLE_STEPS, total - start), neg_array)
+        for start in range(0, total, _SAMPLE_STEPS)
+    )
+
+    for epoch in range(cfg.epochs):
+        if cfg.neg_mode == "fresh":
+            batches = minibatches(cfg.steps_per_epoch, make_negatives())
+        for batch in islice(batches, cfg.steps_per_epoch):
             grads = batch_gradient(batch, e)
             if not np.isfinite(grads.loss):
                 offender = next(

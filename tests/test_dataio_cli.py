@@ -25,7 +25,7 @@ from elball.dataio import (
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.evaluation import LinkSplit, entity_index
 from elball.family import FAMILY_KB
-from elball.normalizer import UnsupportedAxiomError, eliminate_abox, normalize
+from elball.normalizer import NormalForm, UnsupportedAxiomError, eliminate_abox, normalize
 from elball.ontology import (
     GCI,
     Atomic,
@@ -816,15 +816,31 @@ def test_evaluate_refuses_a_gamma_that_is_not_a_finite_number(tmp_path, capsys, 
     ("r some (" * 340 + "A and B" + ")" * 340 + " < C", r"line 2, column \d+: concept nested too deeply"),
     # the text parses; rewriting the nested filler runs out of stack
     ("A < " + "r some " * 500 + "B", "line 2: axiom nested too deeply to normalize"),
-    # a flat conjunction parses into a left-nested tree that eliminate_abox walks
-    (" and ".join(f"A{i}" for i in range(3000)) + " < C", "line 2: axiom nested too deeply to normalize"),
-], ids=["parse", "normalize", "eliminate_abox"])
+], ids=["parse", "normalize"])
 def test_deep_nesting_is_an_input_error(tmp_path, capsys, axiom, message):
     path = tmp_path / "deep.el"
     path.write_text("A < B\n" + axiom + "\n")
     status, err = run_in_process(capsys, "normalize", str(path))
     assert status == 2 and len(err) == 1
     assert re.fullmatch(f"elball: {re.escape(str(path))}: {message}", err[0])
+
+
+def test_a_long_flat_conjunction_normalizes(tmp_path, capsys):
+    # the parser builds it as a left-nested tree 3000 deep, which eliminate_abox walks
+    text = "A < B\n" + " and ".join(f"A{i}" for i in range(3000)) + " < C\n"
+    path, out = tmp_path / "flat.el", tmp_path / "flat.txt"
+    path.write_text(text)
+    assert run_in_process(capsys, "normalize", str(path), "--out", str(out)) == (0, [])
+    direct = normalize(parse_ontology(text))
+    via_abox = normalize(eliminate_abox(parse_ontology(text)))
+    assert list(via_abox.classes) == list(direct.classes)
+    for form in NormalForm:
+        assert getattr(via_abox, form.field) == getattr(direct, form.field)
+    assert len(direct.nf2) == 2999 and direct.nf1 == [(2, 3)]
+    lines = []
+    for form in NormalForm:
+        lines += [f"# {form.value}", *form.format(direct.handles(form), direct.names())]
+    assert out.read_text().splitlines() == lines
 
 
 IMPORTED_PACKAGES = """

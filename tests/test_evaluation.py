@@ -266,6 +266,45 @@ def test_oracle_agreement(rng):
         assert fast == slow
 
 
+def filter_instance(rng):
+    """A split whose filter meets: test heads absent from train (h3, h4), a key
+    known only through valid (h3, s), duplicate train triples, a tail known for
+    one query that is another query's true tail, and two relations. Pool "r" is
+    given, pool "s" derived; at most seven queries keep np.mean's sums in the
+    oracle's left-to-right order."""
+    tails = [f"t{i}" for i in range(8)]
+
+    def pick(heads):
+        return str(rng.choice(heads)), str(rng.choice(["r", "s"])), str(rng.choice(tails))
+
+    train = [pick(["h0", "h1", "h2"]) for _ in range(10)]
+    train += train[:3]
+    valid = [("h3", "s", str(rng.choice(tails))), pick(["h0", "h1", "h2"])]
+    h, r, t = train[0]
+    other = "h1" if h == "h0" else "h0"
+    test = [(other, r, t), (h, r, str(rng.choice(tails))), ("h3", "s", str(rng.choice(tails))),
+            pick(["h4"])]
+    test += [x for x in (pick(["h0", "h1", "h2", "h3", "h4"]) for _ in range(3))
+             if x not in train and x not in valid]
+    test = [test[i] for i in rng.permutation(len(test))]
+    table = {(h, r, t): float(np.round(rng.normal(0, 1), 1))  # rounding forces ties
+             for h in ("h0", "h1", "h2", "h3", "h4") for r in "rs" for t in tails}
+
+    def fn(head, rel, ts):
+        return np.asarray([table[head, rel, t] for t in ts])
+
+    return train, valid, test, tails, fn
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_agreement_on_every_prefix_of_the_queries(seed):
+    train, valid, test, tails, fn = filter_instance(np.random.default_rng(seed))
+    assert len(test) <= 7
+    for k in range(1, len(test) + 1):
+        split = LinkSplit(train=train, valid=valid, test=test[:k], candidates={"r": tails})
+        assert ranking_report(split, fn) == brute_force_report(split, fn)
+
+
 def test_filtered_never_worse_than_raw(rng):
     for _ in range(20):
         split, fn = random_instance(rng)

@@ -59,6 +59,16 @@ def test_eliminate_nominals_in_gcis():
     assert axiom.sup.filler == Atomic(out.classes.id("{q}"))
 
 
+def test_eliminate_keeps_each_conjunction_tree_and_interns_nominals_left_to_right():
+    onto = parse_ontology("({c} and (D and {e})) and r some ({f} and {c}) < G and {g}")
+    out = eliminate_abox(onto)
+    c, e, f, g, D, G = (Atomic(out.classes.id(n)) for n in ("{c}", "{e}", "{f}", "{g}", "D", "G"))
+    r = out.relations.id("r")
+    sub = Conjunction(Conjunction(c, Conjunction(D, e)), Existential(r, Conjunction(f, c)))
+    assert out.axioms == [GCI(sub, Conjunction(G, g))]
+    assert [n for n in out.classes if n.startswith("{")] == ["{c}", "{e}", "{f}", "{g}"]
+
+
 def test_eliminate_shares_one_atomic_per_nominal_class():
     onto = parse_ontology("r(a, b)\nr(b, a)\n{a} : C and r some {b}\n{b} < s some {a}\n")
     out = eliminate_abox(onto)

@@ -8,8 +8,8 @@ import loss_reference as ref
 from elball import trainer
 from elball.embeddings import TOP_RADIUS, EmbeddingSet, table_views
 from elball.family import family_ontology
-from elball.losses import LossBatch
-from elball.normalizer import eliminate_abox, normalize
+from elball.losses import LossBatch, batch_gradient, batch_loss
+from elball.normalizer import NormalForm, eliminate_abox, normalize
 from elball.trainer import (
     Adam,
     TrainConfig,
@@ -302,6 +302,72 @@ class TestTrain:
         )
         train(theory, cfg)
         assert calls == {"batch_gradient": 21, "Adam.step": 21, "generate_negatives": 8}
+
+
+def per_step_train(theory, cfg):
+    """The training loop drawing each step's minibatch indices with one call per
+    nonempty pool: the reference that ``train``'s chunked draws must equal bitwise."""
+    full_batch = LossBatch.from_theory(theory, cfg.margin)
+    theta, e = init_embeddings(theory, cfg).packed()
+    rng = np.random.default_rng([cfg.seed, 1])
+    optimizer = Adam(cfg.learning_rate)
+    trace = trainer.LossTrace()
+    candidates = [cid for cid in range(len(theory.classes)) if cid not in (e.top, e.bot)]
+    corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
+
+    def make_negatives():
+        negs, _ = generate_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
+        return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
+
+    neg_array = make_negatives()
+    pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
+    for epoch in range(cfg.epochs):
+        if cfg.neg_mode == "fresh":
+            neg_array = make_negatives()
+        for _ in range(cfg.steps_per_epoch):
+            batch = LossBatch(cfg.margin, **{
+                name: rows[rng.integers(len(rows), size=cfg.batch_size)] if len(rows) else rows
+                for name, rows in (*pools, ("neg", neg_array))
+            })
+            grads = batch_gradient(batch, e)
+            optimizer.step({"params": theta}, {"params": grads.flat})
+            np.maximum(e.class_radii, 0.0, out=e.class_radii)
+        trace.minibatch.append(grads.loss)
+        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
+            trace.full.append((epoch + 1, batch_loss(full_batch, e)))
+    return e, trace
+
+
+# pools of 1 (NF1), 2 (NF2), 3 (NF4) and 4 rows (NF3, and its negatives); the Bot pools are empty
+SAMPLING_THEORY = """
+A < B
+A and B < C
+B and C < D
+A < r some B
+B < r some C
+C < s some D
+D < r some A
+r some A < B
+r some B < C
+s some C < D
+"""
+
+
+@pytest.mark.parametrize("sample_steps", [trainer._SAMPLE_STEPS, 5])
+@pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
+def test_chunked_sampling_equals_per_step_sampling_bitwise(neg_mode, sample_steps, monkeypatch):
+    from elball.ontology import parse_ontology
+
+    theory = normalize(parse_ontology(SAMPLING_THEORY))
+    assert theory.counts() == {"NF1": 1, "NF2": 2, "NF3": 4, "NF4": 3, "Bot1": 0, "Bot2": 0, "Bot4": 0}
+    monkeypatch.setattr(trainer, "_SAMPLE_STEPS", sample_steps)  # 5 splits chunks mid-epoch
+    cfg = TrainConfig(dim=3, epochs=7, steps_per_epoch=3, batch_size=6, seed=4,
+                      neg_mode=neg_mode, eval_every=2)
+    (e, trace), (ref_e, ref_trace) = train(theory, cfg), per_step_train(theory, cfg)
+    assert e.class_centers.tobytes() == ref_e.class_centers.tobytes()
+    assert e.class_radii.tobytes() == ref_e.class_radii.tobytes()
+    assert e.rel_vectors.tobytes() == ref_e.rel_vectors.tobytes()
+    assert trace == ref_trace and len(trace.minibatch) == 7 and len(trace.full) == 3
 
 
 # Top on a left-hand side: check_model reads such an axiom as inf, and its
