@@ -4,7 +4,8 @@ Ranking is generic over a batch score function ``score_fn(head, rel,
 tails) -> array`` so the same report machinery serves ball embeddings and
 semantic-similarity baselines. A score function that also has a
 ``block(heads, rel, tails)`` method, as ``embedding_score_fn``'s does,
-scores many queries of one relation at once. Ties are broken
+scores many heads of one relation at once. Each distinct (head, relation)
+of the test queries is scored once. Ties are broken
 pessimistically: the true tail ranks worst among equal scores.
 """
 
@@ -23,7 +24,7 @@ from .embeddings import EmbeddingSet
 Triple = tuple[Hashable, Hashable, Hashable]
 ScoreFn = Callable[[Hashable, Hashable, Sequence[Hashable]], np.ndarray]
 
-_BLOCK = 1 << 16  # float64 elements in one Q×K×dim difference block, 512 kB
+_BLOCK = 1 << 18  # float64 elements in one Q×K×dim difference block, 2 MB
 
 
 class EvaluationError(Exception):
@@ -154,6 +155,8 @@ def _blocks(score_fn: ScoreFn, heads: Sequence, rel, tails: list) -> Iterator[np
 def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, exclude: list):
     """Raw rank, filtered rank and filtered pool size of each query (heads[q], rel, tails[q]).
 
+    Each distinct head is scored once, and its queries are ranked against
+    its row, so scoring costs distinct heads × pool, not queries × pool.
     Ranks are pessimistic: 1 + the pool positions holding another tail
     that score at least the true tail. Filtering also drops every position
     of the tails in ``exclude[q]`` except the true tail itself.
@@ -166,23 +169,32 @@ def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, 
         col = np.fromiter((where[t][0] for t in tails), np.intp, len(tails))
     except KeyError as exc:
         raise EvaluationError(f"true tail {exc.args[0]!r} not among candidates") from None
-    drops = [[i for x in ex if x != t for i in where.get(x, ())] for t, ex in zip(tails, exclude)]
+    row_of: dict[Hashable, int] = {}
+    row = np.fromiter((row_of.setdefault(h, len(row_of)) for h in heads), np.intp, len(heads))
+    order = np.argsort(row, kind="stable")  # the queries regrouped by head, in head order
+    row, col = row[order], col[order]
+    drops = [[i for x in exclude[q] if x != tails[q] for i in where.get(x, ())] for q in order]
     n_dropped = np.fromiter(map(len, drops), np.intp, len(drops))
     drop_q = np.repeat(np.arange(len(drops)), n_dropped)
     drop_col = np.fromiter(chain.from_iterable(drops), np.intp, len(drop_q))
     raw, filt = np.empty((2, len(heads)), dtype=np.intp)
-    start = 0
-    for scores in _blocks(score_fn, heads, rel, pool):
-        stop = start + len(scores)
-        cols = col[start:stop]
-        ahead = scores >= scores[np.arange(len(cols)), cols, None]
-        ahead &= first != cols[:, None]  # the self-mask, over every copy of the true tail
-        raw[start:stop] = np.count_nonzero(ahead, axis=1)
-        lo, hi = np.searchsorted(drop_q, (start, stop))
-        ahead[drop_q[lo:hi] - start, drop_col[lo:hi]] = False
-        filt[start:stop] = np.count_nonzero(ahead, axis=1)
-        start = stop
-    return 1 + raw, 1 + filt, len(pool) - n_dropped
+    step = max(1, _BLOCK // max(1, len(pool)))  # queries compared at once
+    top = 0  # the head row that starts the current block
+    for scores in _blocks(score_fn, list(row_of), rel, pool):
+        lo, hi = np.searchsorted(row, (top, top + len(scores)))
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows, cols = row[start:stop] - top, col[start:stop]
+            ahead = scores[rows] >= scores[rows, cols, None]
+            ahead &= first != cols[:, None]  # the self-mask, over every copy of the true tail
+            raw[start:stop] = np.count_nonzero(ahead, axis=1)
+            a, b = np.searchsorted(drop_q, (start, stop))
+            ahead[drop_q[a:b] - start, drop_col[a:b]] = False
+            filt[start:stop] = np.count_nonzero(ahead, axis=1)
+        top += len(scores)
+    out = np.empty((3, len(heads)), dtype=np.intp)  # scattered back to query order
+    out[:, order] = 1 + raw, 1 + filt, len(pool) - n_dropped
+    return out
 
 
 def rank_query(
@@ -205,8 +217,9 @@ def rank_query(
 def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     """Raw and filtered metrics over the test triples.
 
-    The queries of each relation are scored together against its whole
-    candidate pool, once each. Filtered ranking excludes train and
+    Each distinct (head, relation) key of the test triples is scored once
+    against the relation's whole candidate pool, so scoring costs keys ×
+    pool, not queries × pool. Filtered ranking excludes train and
     validation tails for the same (head, relation); other test triples
     are not excluded. Only the queried (head, relation) keys are indexed,
     so the filter costs one membership test per train or valid triple.

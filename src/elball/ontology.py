@@ -97,23 +97,23 @@ def class_vocabulary() -> Vocabulary:
 # --- concept AST ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atomic:
     cls: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nominal:
     individual: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conjunction:
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Existential:
     relation: int
     filler: "Concept"
@@ -125,19 +125,19 @@ TOP = Atomic(TOP_ID)
 BOT = Atomic(BOT_ID)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GCI:
     sub: Concept
     sup: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instantiation:
     concept: Concept
     individual: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleAssertion:
     relation: int
     subject: int

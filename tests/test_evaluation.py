@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from elball.evaluation import (
     rank_query,
     ranking_report,
 )
+from elball.semsim import build_taxonomy, semsim_score_fn
 
 
 def embed(centers, radii, rels):
@@ -416,3 +418,97 @@ def test_entity_index():
     assert index["P1"] == index["{P1}"] == 1
     assert index["P2"] == 2 and index["{P2}"] == 3  # a class named P2 keeps its row
     assert index["{}"] == 4 and "" not in index
+
+
+# --- one score row per (head, relation) -------------------------------------
+
+POOL = [f"t{i}" for i in range(9)]
+
+
+def shared_head_splits():
+    """Splits whose heads repeat, at most seven queries each (see ``block_instance``)."""
+    return {
+        "straddle": LinkSplit(  # a's five queries and b's one share a block of two rows
+            train=[("a", "r", "t1"), ("a", "r", "t2"), ("b", "r", "t0")],
+            valid=[("c", "r", "t8")],
+            test=[("a", "r", "t0"), ("b", "r", "t3"), ("a", "r", "t3"), ("a", "r", "t4"),
+                  ("c", "r", "t5"), ("a", "r", "t5"), ("a", "r", "t6")],
+            candidates={"r": POOL},
+        ),
+        "two relations": LinkSplit(
+            train=[("a", "r", "t1"), ("a", "s", "t2"), ("a", "s", "t3")],
+            valid=[("b", "s", "t1")],
+            test=[("a", "r", "t0"), ("a", "s", "t0"), ("b", "s", "t4"), ("a", "s", "t1"),
+                  ("a", "r", "t2")],
+            candidates={"r": POOL, "s": POOL[:6]},
+        ),
+        "duplicate true tail": LinkSplit(
+            train=[("a", "r", "t2"), ("b", "r", "t3")],
+            test=[("a", "r", "t1"), ("b", "r", "t2"), ("a", "r", "t3"), ("b", "r", "t1")],
+            candidates={"r": ["t1", "t0", "t2", "t1", "t3", "t2"]},
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", list(shared_head_splits()))
+def test_one_score_call_per_head_and_relation(case, seed, monkeypatch):
+    split = shared_head_splits()[case]
+    monkeypatch.setattr(evaluation, "_BLOCK", 2 * len(POOL))  # two rows, two compared queries
+    rng = np.random.default_rng(seed)
+    table = {(h, r, t): float(np.round(rng.normal(0, 1), 1))  # rounding forces ties
+             for h in "abc" for r in "rs" for t in POOL}
+    calls = Counter()
+
+    def fn(head, rel, tails):
+        calls[head, rel] += 1
+        return np.asarray([table[head, rel, t] for t in tails])
+
+    report = ranking_report(split, fn)
+    assert calls == Counter({(h, r): 1 for h, r, _ in split.test})
+    assert report == brute_force_report(split, fn)
+
+
+def dyadic_instance(rng):
+    """Forty queries over five heads of C1..C17 and two relations. Every raw and
+    filtered pool holds 2^k + 1 tails (17, 9, 5, 3 or 1), so each AUC is a
+    multiple of 1/16 and summing them in any order gives the same float."""
+    pools = {"r": [f"C{i}" for i in range(1, 18)], "zero": [f"C{i}" for i in range(1, 10)]}
+    known_sizes = {"r": (0, 8, 12, 14), "zero": (0, 4, 6, 8)}
+    known, train, valid, test = {}, [], [], []
+    for h in [f"C{i}" for i in range(1, 6)]:
+        for r, pool in pools.items():
+            known[h, r] = set(rng.choice(pool, rng.choice(known_sizes[r]), replace=False))
+            for t in sorted(known[h, r]):
+                (train if rng.random() < 0.7 else valid).append((h, r, t))
+    keys = sorted(known)
+    for i in rng.integers(len(keys), size=40):
+        h, r = keys[i]
+        test.append((h, r, str(rng.choice([t for t in pools[r] if t not in known[h, r]]))))
+    return LinkSplit(train=train, valid=valid, test=test, candidates=pools)
+
+
+def resnik_scorer(rng):
+    """A Resnik BMA over a random eight-class tree; C17 is unannotated and scores -inf."""
+    classes = [f"F{i}" for i in range(8)]
+    edges = [(c, str(rng.choice(["Top"] + classes[:i]))) for i, c in enumerate(classes)]
+    annotations = {f"C{i}": set(rng.choice(classes, rng.integers(1, 4))) for i in range(1, 17)}
+    return semsim_score_fn(build_taxonomy(edges, annotations, root="Top"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("scorer", ["embedding", "resnik"])
+def test_report_is_equal_under_any_order_of_the_test_queries(scorer, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    if scorer == "embedding":
+        fn = embedding_score_fn(*block_tables(rng, n=18), gamma=0.05)
+    else:
+        fn = resnik_scorer(rng)
+    split = dyadic_instance(rng)
+    monkeypatch.setattr(evaluation, "_BLOCK", 2 * 17 * 5)  # two embedding rows of pool "r"
+    report = ranking_report(split, fn)
+    assert report == brute_force_report(split, fn)
+    for _ in range(10):
+        test = [split.test[q] for q in rng.permutation(len(split.test))]
+        shuffled = LinkSplit(split.train, split.valid, test, split.candidates)
+        assert ranking_report(shuffled, fn) == report
