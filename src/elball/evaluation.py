@@ -152,14 +152,15 @@ def _blocks(score_fn: ScoreFn, heads: Sequence, rel, tails: list) -> Iterator[np
         yield block
 
 
-def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, exclude: list):
+def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, known: dict):
     """Raw rank, filtered rank and filtered pool size of each query (heads[q], rel, tails[q]).
 
     Each distinct head is scored once, and its queries are ranked against
     its row, so scoring costs distinct heads × pool, not queries × pool.
     Ranks are pessimistic: 1 + the pool positions holding another tail
     that score at least the true tail. Filtering also drops every position
-    of the tails in ``exclude[q]`` except the true tail itself.
+    of the tails in ``known[head, rel]`` except those of the true tail
+    itself; those positions are found once per head.
     """
     where: dict[Hashable, list[int]] = {}
     for i, t in enumerate(pool):
@@ -173,10 +174,18 @@ def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, 
     row = np.fromiter((row_of.setdefault(h, len(row_of)) for h in heads), np.intp, len(heads))
     order = np.argsort(row, kind="stable")  # the queries regrouped by head, in head order
     row, col = row[order], col[order]
-    drops = [[i for x in exclude[q] if x != tails[q] for i in where.get(x, ())] for q in order]
-    n_dropped = np.fromiter(map(len, drops), np.intp, len(drops))
-    drop_q = np.repeat(np.arange(len(drops)), n_dropped)
-    drop_col = np.fromiter(chain.from_iterable(drops), np.intp, len(drop_q))
+    # the pool positions of each head's known tails, one run per head; each
+    # query copies its head's run, then takes its true tail's positions out
+    known_at = [[i for x in known.get((h, rel), ()) for i in where.get(x, ())] for h in row_of]
+    n_known = np.fromiter(map(len, known_at), np.intp, len(known_at))
+    flat = np.fromiter(chain.from_iterable(known_at), np.intp, int(n_known.sum()))
+    n_copied = n_known[row]
+    drop_q = np.repeat(np.arange(len(row)), n_copied)
+    run_start, copy_start = np.cumsum(n_known) - n_known, np.cumsum(n_copied) - n_copied
+    drop_col = flat[np.arange(len(drop_q)) + np.repeat(run_start[row] - copy_start, n_copied)]
+    kept = first[drop_col] != col[drop_q]
+    drop_q, drop_col = drop_q[kept], drop_col[kept]
+    n_dropped = np.bincount(drop_q, minlength=len(row))
     raw, filt = np.empty((2, len(heads)), dtype=np.intp)
     step = max(1, _BLOCK // max(1, len(pool)))  # queries compared at once
     top = 0  # the head row that starts the current block
@@ -210,7 +219,7 @@ def rank_query(
     ``exclude`` drops known-true tails from the candidate list (the
     filtered setting); the true tail itself is never dropped.
     """
-    _, rank, n = _rank(score_fn, [head], rel, [true_tail], list(candidates), [exclude])
+    _, rank, n = _rank(score_fn, [head], rel, [true_tail], list(candidates), {(head, rel): exclude})
     return int(rank[0]), int(n[0])
 
 
@@ -242,8 +251,7 @@ def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     for r, queries in by_rel.items():
         heads, _, tails = zip(*map(split.test.__getitem__, queries))
         pool = list(split.candidate_tails(r))
-        exclude = [known[h, r] for h in heads]
-        raw[queries], filt[queries], n_f[queries] = _rank(score_fn, heads, r, tails, pool, exclude)
+        raw[queries], filt[queries], n_f[queries] = _rank(score_fn, heads, r, tails, pool, known)
         n[queries] = len(pool)
 
     def auc(rank, n):

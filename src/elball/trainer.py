@@ -30,6 +30,8 @@ logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 100  # draws per negative before its positive is skipped
 _SAMPLE_STEPS = 32  # static-negative steps whose minibatch indices one draw makes
+_WINDOW = 64  # negative-sampling pairs tested at one alignment of pairs to negatives
+_NO_KEY = np.iinfo(np.int64).max  # sentinel past every triple key
 NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
 
@@ -134,39 +136,90 @@ def init_embeddings(theory: NormalizedTheory, cfg: TrainConfig) -> EmbeddingSet:
 
 
 def generate_negatives(
-    nf3: list[tuple[int, int, int]],
-    candidates: list[int],
+    nf3: np.ndarray,
+    candidates: np.ndarray,
     k: int,
     rng: np.random.Generator,
-) -> tuple[list[tuple[int, int, int]], int]:
+) -> tuple[np.ndarray, int]:
     """Corrupt NF3 axioms (C, r, D) in one class slot, avoiding asserted axioms.
 
-    Returns (negatives, skipped) where skipped counts positives whose
-    ``MAX_RETRIES`` draws all hit asserted axioms (possible on dense
-    interaction graphs).
+    Each of a positive's k negatives takes (coin, replacement) draws until
+    one gives a triple not among ``nf3``: a coin of 0 replaces C, 1 replaces
+    D. Returns (negatives, skipped): the (n, 3) corrupted rows in positive
+    order, and how many negatives were skipped because ``MAX_RETRIES``
+    draws all hit asserted axioms (possible on dense interaction graphs).
+
+    The outputs and the generator's state afterwards equal those of a loop
+    making two scalar ``rng.integers`` calls per draw. Draws come in rounds
+    of one pair per negative still open, the fewest those can take, from one
+    broadcast call that reads the stream as the scalar calls do. Triples are
+    int64 keys, tested against the sorted asserted keys one window of pairs
+    at a time: a hit keeps its negative open for the next pair, so it moves
+    every later pair on by one negative.
     """
-    if k == 0 or not nf3:
-        return [], 0
-    if not candidates:
+    rows = np.asarray(nf3, dtype=np.intp).reshape(-1, 3)
+    cand = np.asarray(candidates, dtype=np.intp).reshape(-1)
+    if k == 0 or not len(rows):
+        return np.empty((0, 3), dtype=np.intp), 0
+    if not len(cand):
         raise TrainingError("no candidate classes for negative generation")
-    asserted = set(nf3)
-    cand = np.asarray(candidates, dtype=np.intp)
-    negatives: list[tuple[int, int, int]] = []
-    skipped = 0
-    for c, r, d in nf3:
-        for _ in range(k):
-            for _ in range(MAX_RETRIES):
-                corrupt_head = rng.integers(2) == 0
-                replacement = int(cand[rng.integers(len(cand))])
-                corrupted = (replacement, r, d) if corrupt_head else (c, r, replacement)
-                if corrupted not in asserted:
-                    negatives.append(corrupted)
-                    break
+    if min(rows.min(), cand.min()) < 0:
+        raise TrainingError("negative class or relation handle in negative generation")
+    n_cls = int(max(rows[:, 0].max(), rows[:, 2].max(), cand.max())) + 1
+    n_rel = int(rows[:, 1].max()) + 1
+    if n_cls * n_cls * n_rel > _NO_KEY:  # every key stays below the sentinel
+        raise TrainingError(
+            f"{n_cls} classes and {n_rel} relations overflow the int64 triple keys of negative generation"
+        )
+    c, r, d = rows.T.astype(np.int64)
+    asserted = np.sort(np.append((c * n_rel + r) * n_cls + d, _NO_KEY))
+    # the key of negative s less its replacement's part, at 2s + coin: coin 0
+    # adds replacement * n_rel * n_cls, coin 1 adds the replacement
+    base = np.repeat(np.stack([r * n_cls + d, (c * n_rel + r) * n_cls], axis=1), k, axis=0).ravel()
+    bounds = np.array([2, len(cand)])
+    n_slots = len(rows) * k
+    keys = np.empty(n_slots, dtype=np.int64)  # each negative's key, -1 once skipped
+    slot = pair = n_pairs = tries = skipped = 0  # tries: hits of the open negative `slot`
+    while slot < n_slots:
+        if pair == n_pairs:  # a new round: one pair per negative still open
+            coin, pick = rng.integers(0, bounds, size=(n_slots - slot, 2)).T
+            rep = cand[pick].astype(np.int64)
+            add = np.where(coin == 0, rep * (n_rel * n_cls), rep)
+            at = coin + 2 * np.arange(len(coin))  # pair j's base index when it meets negative j
+            pair, n_pairs = 0, len(coin)
+        end = min(pair + _WINDOW, n_pairs)
+        stuck = tries > 1  # the open negative keeps being hit: the next pairs all meet it
+        if stuck:
+            end = min(end, pair + MAX_RETRIES - tries)
+            window = base[coin[pair:end] + 2 * slot] + add[pair:end]
+        else:  # pair `pair` + j meets negative `slot` + j
+            window = base[at[pair:end] + 2 * (slot - pair)] + add[pair:end]
+        hit = asserted[np.searchsorted(asserted, window)] == window
+        if stuck:
+            t = int(hit.argmin())  # the first miss fills the open negative
+            if hit[t]:
+                tries, pair = tries + len(window), end
             else:
-                skipped += 1
+                keys[slot] = window[t]
+                slot, pair, tries = slot + 1, pair + t + 1, 0
+        else:
+            t = int(hit.argmax())
+            if not hit[t]:
+                t = len(window)  # the pairs before the first hit fill their negatives
+            keys[slot : slot + t] = window[:t]
+            if t:
+                tries = 0
+            slot, pair = slot + t, pair + t
+            if t < len(window):
+                pair, tries = pair + 1, tries + 1
+        if tries == MAX_RETRIES:
+            keys[slot] = -1
+            slot, tries, skipped = slot + 1, 0, skipped + 1
     if skipped:
         logger.warning("negative sampling skipped %d positives (budget exhausted)", skipped)
-    return negatives, skipped
+    cr, tail = np.divmod(keys[keys >= 0], n_cls)
+    head, rel = np.divmod(cr, n_rel)
+    return np.stack([head, rel, tail], axis=1).astype(np.intp, copy=False), skipped
 
 
 def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, LossTrace]:
@@ -193,19 +246,17 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     trace = LossTrace()
 
     # classes eligible as corruption targets: everything but Top/Bot
-    candidates = [
-        cid for cid in range(len(theory.classes)) if cid not in (e.top, e.bot)
-    ]
+    ordinary = np.ones(len(theory.classes), dtype=bool)
+    ordinary[[e.top, e.bot]] = False
+    candidates = np.flatnonzero(ordinary)
 
     # only corrupt positives whose class slots are both ordinary classes;
     # a negative keeping Top would inherit its unbounded radius
-    corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
+    nf3 = full_batch.nf3
+    corruptible = nf3[ordinary[nf3[:, 0]] & ordinary[nf3[:, 2]]]
 
     def make_negatives():
-        negs, _ = generate_negatives(
-            corruptible, candidates, cfg.negatives_per_positive, rng
-        )
-        return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
+        return generate_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)[0]
 
     # minibatches draw from the theory's buckets in NormalForm order, then the negatives
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]

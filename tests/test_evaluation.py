@@ -307,6 +307,18 @@ def test_oracle_agreement_on_every_prefix_of_the_queries(seed):
         assert ranking_report(split, fn) == brute_force_report(split, fn)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_oracle_agreement_when_heads_share_their_known_tails(seed):
+    # the filter's positions are found once per head and taken out per query:
+    # heads with several queries, known tails listed twice in the pool, and a
+    # true tail also known for its own head
+    split, fn = random_instance(np.random.default_rng(seed), n_tails=10, n_queries=7)
+    split.candidates["r"] += split.candidates["r"][::3]
+    split.train.append(split.test[0])
+    assert len(set(h for h, _, _ in split.test)) < len(split.test)
+    assert ranking_report(split, fn) == brute_force_report(split, fn)
+
+
 def test_filtered_never_worse_than_raw(rng):
     for _ in range(20):
         split, fn = random_instance(rng)

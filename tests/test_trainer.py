@@ -158,11 +158,35 @@ class TestInit:
         assert e.dim == 2
 
 
+def loop_negatives(nf3, candidates, k, rng):
+    """The scalar sampler, two ``rng.integers`` calls per draw against a set of
+    asserted triples: the oracle ``generate_negatives`` must equal bitwise,
+    generator state included."""
+    if k == 0 or not len(nf3):
+        return [], 0
+    asserted = set(map(tuple, nf3))
+    cand = np.asarray(candidates, dtype=np.intp)
+    negatives, skipped = [], 0
+    for c, r, d in nf3:
+        for _ in range(k):
+            for _ in range(trainer.MAX_RETRIES):
+                corrupt_head = rng.integers(2) == 0
+                replacement = int(cand[rng.integers(len(cand))])
+                corrupted = (replacement, r, d) if corrupt_head else (c, r, replacement)
+                if corrupted not in asserted:
+                    negatives.append(corrupted)
+                    break
+            else:
+                skipped += 1
+    return negatives, skipped
+
+
 class TestNegatives:
     NF3 = [(2, 0, 3)]
 
     def test_k_zero(self, rng):
-        assert generate_negatives(self.NF3, [2, 3, 4], 0, rng) == ([], 0)
+        negatives, skipped = generate_negatives(self.NF3, [2, 3, 4], 0, rng)
+        assert negatives.shape == (0, 3) and skipped == 0
 
     def test_corruption_shape(self, rng):
         negatives, skipped = generate_negatives(self.NF3, [2, 3, 4], 5, rng)
@@ -178,12 +202,13 @@ class TestNegatives:
         nf3 = [(c, 0, d) for c in (2, 3, 4) for d in (2, 3, 4)]
         with caplog.at_level("WARNING"):
             negatives, skipped = generate_negatives(nf3, [2, 3, 4], 1, rng)
-        assert negatives == []
+        assert len(negatives) == 0
         assert skipped == len(nf3)
         assert "skipped" in caplog.text
 
     def test_no_positives(self, rng):
-        assert generate_negatives([], [], 1, rng) == ([], 0)
+        negatives, skipped = generate_negatives([], [], 1, rng)
+        assert negatives.shape == (0, 3) and skipped == 0
 
     def test_no_candidates(self, rng):
         with pytest.raises(TrainingError):
@@ -192,7 +217,53 @@ class TestNegatives:
     def test_deterministic(self):
         r1 = generate_negatives(self.NF3, [2, 3, 4, 5], 4, np.random.default_rng(9))
         r2 = generate_negatives(self.NF3, [2, 3, 4, 5], 4, np.random.default_rng(9))
-        assert r1 == r2
+        assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
+
+    def test_refuses_handles_the_int64_key_cannot_hold(self, rng):
+        # 2**32 classes: their squared count overflows int64, and no table is built
+        with pytest.raises(TrainingError, match="overflow the int64 triple keys"):
+            generate_negatives([(2, 0, 2**32)], [2, 3], 1, rng)
+        with pytest.raises(TrainingError, match="overflow the int64 triple keys"):
+            generate_negatives([(2, 2**31, 3)], [2**31], 1, rng)
+        with pytest.raises(TrainingError, match="negative class or relation handle"):
+            generate_negatives([(2, -1, 3)], [2, 3], 1, rng)
+
+    def test_largest_keys_that_fit_round_trip(self):
+        # 2**21 classes and 2**21 - 1 relations: keys up to 2**63 - 2**42 - 1
+        big, rel = 2**21 - 1, 2**21 - 2
+        nf3 = [(big, rel, big), (0, rel, big)]
+        negatives, skipped = generate_negatives(nf3, [0, big], 3, np.random.default_rng(1))
+        oracle, oracle_skipped = loop_negatives(nf3, [0, big], 3, np.random.default_rng(1))
+        assert negatives.tolist() == [list(t) for t in oracle] and skipped == oracle_skipped
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("window, max_retries", [(trainer._WINDOW, trainer.MAX_RETRIES), (2, 3), (5, 1)])
+    def test_equals_the_scalar_loop_on_dense_theories(self, k, window, max_retries, monkeypatch, caplog):
+        # dense random theories, where many draws hit asserted axioms and the
+        # budget often runs out: same negatives, skips, warning and generator state
+        monkeypatch.setattr(trainer, "_WINDOW", window)
+        monkeypatch.setattr(trainer, "MAX_RETRIES", max_retries)
+        theories = np.random.default_rng(2024)
+        for case in range(60):
+            n_classes, n_relations = theories.integers(1, 7), theories.integers(1, 4)
+            every = np.stack(np.meshgrid(
+                np.arange(n_classes), np.arange(n_relations), np.arange(n_classes), indexing="ij"
+            ), axis=-1).reshape(-1, 3)
+            nf3 = every[theories.random(len(every)) < theories.choice([0.3, 0.7, 0.95, 1.0])]
+            theories.shuffle(nf3)
+            candidates = theories.permutation(n_classes)[: theories.integers(1, n_classes + 1)]
+            seed = int(theories.integers(1 << 30))
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="elball.trainer"):
+                negatives, skipped = generate_negatives(nf3, candidates, k, new_rng)
+            oracle, oracle_skipped = loop_negatives(nf3.tolist(), candidates, k, old_rng)
+            assert negatives.dtype == np.intp and negatives.shape == (len(oracle), 3), case
+            assert negatives.tolist() == [list(t) for t in oracle], case
+            assert skipped == oracle_skipped, case
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state, case
+            warned = [f"negative sampling skipped {skipped} positives (budget exhausted)"] if skipped else []
+            assert caplog.messages == warned, case
 
 
 class TestTrain:
@@ -306,7 +377,8 @@ class TestTrain:
 
 def per_step_train(theory, cfg):
     """The training loop drawing each step's minibatch indices with one call per
-    nonempty pool: the reference that ``train``'s chunked draws must equal bitwise."""
+    nonempty pool, and its negatives with the scalar loop: the reference that
+    ``train``'s chunked draws and array sampler must equal bitwise."""
     full_batch = LossBatch.from_theory(theory, cfg.margin)
     theta, e = init_embeddings(theory, cfg).packed()
     rng = np.random.default_rng([cfg.seed, 1])
@@ -316,7 +388,7 @@ def per_step_train(theory, cfg):
     corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
 
     def make_negatives():
-        negs, _ = generate_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
+        negs, _ = loop_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
         return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
 
     neg_array = make_negatives()
