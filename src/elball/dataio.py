@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -12,13 +13,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .evaluation import LinkSplit, entity_index
-from .ontology import (
-    Atomic,
-    Existential,
-    GCI,
-    Nominal,
-    Ontology,
-)
+from .ontology import BOT_NAME, GCI, TOP_NAME, Atomic, Existential, Nominal, Ontology
 
 CHECKPOINT_VERSION = 1
 FUNCTION_RELATION = "hasFunction"  # links an entity to each of its annotations
@@ -157,8 +152,8 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     if expect_dim is not None and dim != expect_dim:
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
-    if "Top" not in payload["classes"]:
-        raise CheckpointError(f"checkpoint {path} has no 'Top' class")
+    if TOP_NAME not in payload["classes"]:
+        raise CheckpointError(f"checkpoint {path} has no {TOP_NAME!r} class")
     class_names = list(payload["classes"])
     relation_names = list(payload["relations"])
     try:
@@ -175,8 +170,8 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad}")
 
-    top = class_names.index("Top")
-    bot = class_names.index("Bot") if "Bot" in class_names else top
+    top = class_names.index(TOP_NAME)
+    bot = class_names.index(BOT_NAME) if BOT_NAME in class_names else top
 
     e = EmbeddingSet(centers, radii, rels, top=top, bot=bot)
     return Checkpoint(e, class_names, relation_names, payload["metadata"])
@@ -222,6 +217,8 @@ def read_pairs_tsv(path: str | Path) -> list[tuple[str, str, float]]:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
             conf = float(parts[2])
+            if math.isnan(conf):  # no threshold keeps or drops it
+                raise ValueError
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric confidence {parts[2]!r}") from None
         rows.append((parts[0], parts[1], conf))
@@ -268,6 +265,10 @@ def build_dataset(
     portion of the interactions becomes axioms; annotations always do,
     through ``FUNCTION_RELATION``.
     """
+    if math.isnan(min_confidence):
+        raise DataError(f"min_confidence must be a number, not {min_confidence!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, not {seed!r}")
     kept = [(a, b) for a, b, conf in pair_rows if conf >= min_confidence]
     seen = set()
     unique: list[tuple[str, str]] = []

@@ -15,7 +15,8 @@ from typing import Callable, Hashable, Iterable, Optional
 
 import numpy as np
 
-ROOT = "Top"
+from .ontology import TOP_NAME
+
 MEASURES = ("resnik", "lin")
 
 
@@ -94,7 +95,7 @@ def bma_similarity(
 def build_taxonomy(
     edges: Iterable[tuple[Hashable, Hashable]],
     annotations: dict[Hashable, Iterable[Hashable]],
-    root: Hashable = ROOT,
+    root: Hashable = TOP_NAME,
 ) -> TaxonomyIndex:
     """Index a taxonomy from (subclass, superclass) edges and entity annotations.
 

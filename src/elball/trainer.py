@@ -28,9 +28,8 @@ from .ontology import TOP_ID
 
 logger = logging.getLogger(__name__)
 
-MAX_RETRIES = 100  # draws per negative before its positive is skipped
+MAX_RETRIES = 100  # draws per negative before the negative is skipped
 _SAMPLE_STEPS = 32  # static-negative steps whose minibatch indices one draw makes
-_WINDOW = 64  # negative-sampling pairs tested at one alignment of pairs to negatives
 _NO_KEY = np.iinfo(np.int64).max  # sentinel past every triple key
 NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
@@ -63,6 +62,8 @@ class TrainConfig:
             raise TrainingError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
         if not math.isfinite(self.margin):
             raise TrainingError(f"margin must be finite, not {self.margin!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise TrainingError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 @dataclass
@@ -136,28 +137,17 @@ def init_embeddings(theory: NormalizedTheory, cfg: TrainConfig) -> EmbeddingSet:
 
 
 def generate_negatives(
-    nf3: np.ndarray,
-    candidates: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    nf3: np.ndarray, candidates: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
     """Corrupt NF3 axioms (C, r, D) in one class slot, avoiding asserted axioms.
 
-    Each of a positive's k negatives takes (coin, replacement) draws until
-    one gives a triple not among ``nf3``: a coin of 0 replaces C, 1 replaces
-    D. Returns (negatives, skipped): the (n, 3) corrupted rows in positive
-    order, and how many negatives were skipped because ``MAX_RETRIES``
-    draws all hit asserted axioms (possible on dense interaction graphs).
-
-    The outputs and the generator's state afterwards equal those of a loop
-    making two scalar ``rng.integers`` calls per draw. Draws come in rounds
-    of one pair per negative still open, the fewest those can take, from one
-    broadcast call that reads the stream as the scalar calls do. Triples are
-    int64 keys, tested against the sorted asserted keys one window of pairs
-    at a time: a hit keeps its negative open for the next pair, so it moves
-    every later pair on by one negative.
+    Each of a positive's k negatives takes i.i.d. uniform (coin, replacement)
+    draws until one misses ``nf3``: coin 0 replaces C, 1 replaces D. Returns the
+    (n, 3) negatives in positive order and how many were skipped after
+    ``MAX_RETRIES`` hits. Each round draws a pair for every open negative with
+    one broadcast call and tests their int64 keys at once; only hits stay open.
     """
-    rows = np.asarray(nf3, dtype=np.intp).reshape(-1, 3)
+    rows = np.asarray(nf3, dtype=np.int64).reshape(-1, 3)
     cand = np.asarray(candidates, dtype=np.intp).reshape(-1)
     if k == 0 or not len(rows):
         return np.empty((0, 3), dtype=np.intp), 0
@@ -171,55 +161,23 @@ def generate_negatives(
         raise TrainingError(
             f"{n_cls} classes and {n_rel} relations overflow the int64 triple keys of negative generation"
         )
-    c, r, d = rows.T.astype(np.int64)
-    asserted = np.sort(np.append((c * n_rel + r) * n_cls + d, _NO_KEY))
-    # the key of negative s less its replacement's part, at 2s + coin: coin 0
-    # adds replacement * n_rel * n_cls, coin 1 adds the replacement
-    base = np.repeat(np.stack([r * n_cls + d, (c * n_rel + r) * n_cls], axis=1), k, axis=0).ravel()
-    bounds = np.array([2, len(cand)])
-    n_slots = len(rows) * k
-    keys = np.empty(n_slots, dtype=np.int64)  # each negative's key, -1 once skipped
-    slot = pair = n_pairs = tries = skipped = 0  # tries: hits of the open negative `slot`
-    while slot < n_slots:
-        if pair == n_pairs:  # a new round: one pair per negative still open
-            coin, pick = rng.integers(0, bounds, size=(n_slots - slot, 2)).T
-            rep = cand[pick].astype(np.int64)
-            add = np.where(coin == 0, rep * (n_rel * n_cls), rep)
-            at = coin + 2 * np.arange(len(coin))  # pair j's base index when it meets negative j
-            pair, n_pairs = 0, len(coin)
-        end = min(pair + _WINDOW, n_pairs)
-        stuck = tries > 1  # the open negative keeps being hit: the next pairs all meet it
-        if stuck:
-            end = min(end, pair + MAX_RETRIES - tries)
-            window = base[coin[pair:end] + 2 * slot] + add[pair:end]
-        else:  # pair `pair` + j meets negative `slot` + j
-            window = base[at[pair:end] + 2 * (slot - pair)] + add[pair:end]
-        hit = asserted[np.searchsorted(asserted, window)] == window
-        if stuck:
-            t = int(hit.argmin())  # the first miss fills the open negative
-            if hit[t]:
-                tries, pair = tries + len(window), end
-            else:
-                keys[slot] = window[t]
-                slot, pair, tries = slot + 1, pair + t + 1, 0
-        else:
-            t = int(hit.argmax())
-            if not hit[t]:
-                t = len(window)  # the pairs before the first hit fill their negatives
-            keys[slot : slot + t] = window[:t]
-            if t:
-                tries = 0
-            slot, pair = slot + t, pair + t
-            if t < len(window):
-                pair, tries = pair + 1, tries + 1
-        if tries == MAX_RETRIES:
-            keys[slot] = -1
-            slot, tries, skipped = slot + 1, 0, skipped + 1
-    if skipped:
-        logger.warning("negative sampling skipped %d positives (budget exhausted)", skipped)
-    cr, tail = np.divmod(keys[keys >= 0], n_cls)
-    head, rel = np.divmod(cr, n_rel)
-    return np.stack([head, rel, tail], axis=1).astype(np.intp, copy=False), skipped
+    weights = np.array([n_rel * n_cls, n_cls, 1])  # a triple's key is its dot product with these
+    asserted = np.sort(np.append(rows @ weights, _NO_KEY))
+    negatives = np.repeat(rows, k, axis=0)  # each open negative holds its positive
+    open_ = np.arange(len(negatives))
+    for _ in range(MAX_RETRIES):
+        if not len(open_):
+            break
+        coin, pick = rng.integers(0, [2, len(cand)], size=(len(open_), 2)).T
+        drawn = negatives[open_]
+        drawn[np.arange(len(drawn)), 2 * coin] = cand[pick]
+        key = drawn @ weights
+        miss = asserted[np.searchsorted(asserted, key)] != key
+        negatives[open_[miss]] = drawn[miss]
+        open_ = open_[~miss]
+    if len(open_):
+        logger.warning("negative sampling skipped %d negatives (budget exhausted)", len(open_))
+    return np.delete(negatives, open_, axis=0).astype(np.intp, copy=False), len(open_)
 
 
 def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, LossTrace]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -278,6 +279,28 @@ class TestTsvParsing:
         path.write_text("P1\tP2\thigh\n")
         with pytest.raises(DataError, match="non-numeric"):
             read_pairs_tsv(path)
+
+    def test_nan_confidence_names_its_line(self, tmp_path):
+        # no threshold keeps or drops a NaN confidence, so its row is refused
+        path = tmp_path / "pairs.tsv"
+        path.write_text("P1\tP2\t900\nP3\tP4\tnan\n")
+        with pytest.raises(DataError) as info:
+            read_pairs_tsv(path)
+        assert str(info.value) == f"{path}:2: non-numeric confidence 'nan'"
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"min_confidence": math.nan}, "min_confidence must be a number, not nan"),
+            ({"seed": -1}, "seed must be a non-negative integer, not -1"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, not 1.5"),
+            ({"seed": True}, "seed must be a non-negative integer, not True"),
+        ],
+    )
+    def test_build_dataset_refuses_meaningless_options(self, options, message):
+        with pytest.raises(DataError) as info:
+            build_dataset([("P1", "P2", 900.0)], [("P1", "F")], **options)
+        assert str(info.value) == message
 
     def test_split_skips_blank_and_comment_lines(self, tmp_path):
         (tmp_path / "test.tsv").write_text("# comment\nP1\tinteracts\tP2\n\n")
@@ -688,6 +711,22 @@ def test_console_exit_status_tells_bad_input_from_a_violated_model(
         "elball: dim, batch_size, and steps_per_epoch must be positive"
     ]
     assert not zero_dim.exists()
+
+    done = run_console("train", "--theory", str(family_file), "--seed", "-1", "--out", str(zero_dim))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["elball: seed must be a non-negative integer, not -1"]
+    assert not zero_dim.exists()
+
+    pairs, annots = write_interaction_files(tmp_path)
+    for flags, message in [
+        (["--seed", "-1"], "seed must be a non-negative integer, not -1"),
+        (["--min-confidence", "nan"], "min_confidence must be a number, not nan"),
+    ]:
+        done = run_console("ingest", "--pairs", str(pairs), "--annotations", str(annots),
+                           *flags, "--out-dir", str(tmp_path / "data"))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"elball: {message}"]
+    assert not (tmp_path / "data").exists()
 
 
 def test_check_json_summarizes_each_form(family_file, tmp_path):

@@ -45,6 +45,9 @@ class TestTrainConfig:
             {"negatives_per_positive": -1},
             {"steps_per_epoch": 0},
             {"neg_mode": "sometimes"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -158,27 +161,32 @@ class TestInit:
         assert e.dim == 2
 
 
-def loop_negatives(nf3, candidates, k, rng):
-    """The scalar sampler, two ``rng.integers`` calls per draw against a set of
-    asserted triples: the oracle ``generate_negatives`` must equal bitwise,
-    generator state included."""
+def round_negatives(nf3, candidates, k, rng):
+    """The scalar sampler in redraw rounds: each round visits the negatives
+    still open, in order, with two scalar ``rng.integers`` calls each; a miss
+    of the asserted triples fills its negative, a hit keeps it open, and those
+    open after ``MAX_RETRIES`` rounds are skipped. The oracle
+    ``generate_negatives`` must equal bitwise, generator state included."""
     if k == 0 or not len(nf3):
         return [], 0
     asserted = set(map(tuple, nf3))
     cand = np.asarray(candidates, dtype=np.intp)
-    negatives, skipped = [], 0
-    for c, r, d in nf3:
-        for _ in range(k):
-            for _ in range(trainer.MAX_RETRIES):
-                corrupt_head = rng.integers(2) == 0
-                replacement = int(cand[rng.integers(len(cand))])
-                corrupted = (replacement, r, d) if corrupt_head else (c, r, replacement)
-                if corrupted not in asserted:
-                    negatives.append(corrupted)
-                    break
+    positives = [tuple(row) for row in nf3 for _ in range(k)]
+    negatives = [None] * len(positives)
+    still_open = range(len(positives))
+    for _ in range(trainer.MAX_RETRIES):
+        hits = []
+        for i in still_open:
+            c, r, d = positives[i]
+            corrupt_head = rng.integers(2) == 0
+            replacement = int(cand[rng.integers(len(cand))])
+            corrupted = (replacement, r, d) if corrupt_head else (c, r, replacement)
+            if corrupted in asserted:
+                hits.append(i)
             else:
-                skipped += 1
-    return negatives, skipped
+                negatives[i] = corrupted
+        still_open = hits
+    return [t for t in negatives if t is not None], len(still_open)
 
 
 class TestNegatives:
@@ -204,7 +212,11 @@ class TestNegatives:
             negatives, skipped = generate_negatives(nf3, [2, 3, 4], 1, rng)
         assert len(negatives) == 0
         assert skipped == len(nf3)
-        assert "skipped" in caplog.text
+        assert caplog.messages == ["negative sampling skipped 9 negatives (budget exhausted)"]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert generate_negatives(nf3, [2, 3, 4], 3, rng)[1] == 27
+        assert caplog.messages == ["negative sampling skipped 27 negatives (budget exhausted)"]
 
     def test_no_positives(self, rng):
         negatives, skipped = generate_negatives([], [], 1, rng)
@@ -233,15 +245,14 @@ class TestNegatives:
         big, rel = 2**21 - 1, 2**21 - 2
         nf3 = [(big, rel, big), (0, rel, big)]
         negatives, skipped = generate_negatives(nf3, [0, big], 3, np.random.default_rng(1))
-        oracle, oracle_skipped = loop_negatives(nf3, [0, big], 3, np.random.default_rng(1))
+        oracle, oracle_skipped = round_negatives(nf3, [0, big], 3, np.random.default_rng(1))
         assert negatives.tolist() == [list(t) for t in oracle] and skipped == oracle_skipped
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    @pytest.mark.parametrize("window, max_retries", [(trainer._WINDOW, trainer.MAX_RETRIES), (2, 3), (5, 1)])
-    def test_equals_the_scalar_loop_on_dense_theories(self, k, window, max_retries, monkeypatch, caplog):
+    @pytest.mark.parametrize("max_retries", [trainer.MAX_RETRIES, 3, 1])
+    def test_equals_the_scalar_loop_on_dense_theories(self, k, max_retries, monkeypatch, caplog):
         # dense random theories, where many draws hit asserted axioms and the
         # budget often runs out: same negatives, skips, warning and generator state
-        monkeypatch.setattr(trainer, "_WINDOW", window)
         monkeypatch.setattr(trainer, "MAX_RETRIES", max_retries)
         theories = np.random.default_rng(2024)
         for case in range(60):
@@ -257,13 +268,30 @@ class TestNegatives:
             caplog.clear()
             with caplog.at_level("WARNING", logger="elball.trainer"):
                 negatives, skipped = generate_negatives(nf3, candidates, k, new_rng)
-            oracle, oracle_skipped = loop_negatives(nf3.tolist(), candidates, k, old_rng)
+            oracle, oracle_skipped = round_negatives(nf3.tolist(), candidates, k, old_rng)
             assert negatives.dtype == np.intp and negatives.shape == (len(oracle), 3), case
             assert negatives.tolist() == [list(t) for t in oracle], case
             assert skipped == oracle_skipped, case
             assert new_rng.bit_generator.state == old_rng.bit_generator.state, case
-            warned = [f"negative sampling skipped {skipped} positives (budget exhausted)"] if skipped else []
+            warned = [f"negative sampling skipped {skipped} negatives (budget exhausted)"] if skipped else []
             assert caplog.messages == warned, case
+            # without the oracle: in positive order, each positive owns at most k
+            # negatives, and each changes one class slot to a candidate without
+            # giving an asserted triple
+            asserted, cands = set(map(tuple, nf3.tolist())), set(candidates.tolist())
+            owner, owned = 0, 0
+            for h, r, t in negatives.tolist():
+                assert (h, r, t) not in asserted, case
+                while owned == k or not one_slot_to_a_candidate(nf3[owner], (h, r, t), cands):
+                    owner, owned = owner + 1, 0
+                    assert owner < len(nf3), case
+                owned += 1
+            assert len(negatives) + skipped == len(nf3) * k, case
+
+
+def one_slot_to_a_candidate(positive, negative, candidates):
+    (c, r, d), (h, s, t) = positive, negative
+    return r == s and ((h != c and t == d and h in candidates) or (h == c and t != d and t in candidates))
 
 
 class TestTrain:
@@ -377,7 +405,7 @@ class TestTrain:
 
 def per_step_train(theory, cfg):
     """The training loop drawing each step's minibatch indices with one call per
-    nonempty pool, and its negatives with the scalar loop: the reference that
+    nonempty pool, and its negatives with the scalar sampler: the reference that
     ``train``'s chunked draws and array sampler must equal bitwise."""
     full_batch = LossBatch.from_theory(theory, cfg.margin)
     theta, e = init_embeddings(theory, cfg).packed()
@@ -388,7 +416,7 @@ def per_step_train(theory, cfg):
     corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
 
     def make_negatives():
-        negs, _ = loop_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
+        negs, _ = round_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
         return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
 
     neg_array = make_negatives()
