@@ -259,7 +259,8 @@ def build_dataset(
 ) -> tuple[Ontology, LinkSplit]:
     """Turn interaction pairs and annotations into axioms plus an 80/10/10 split.
 
-    Pairs below the confidence threshold are dropped, then reciprocal
+    Pairs below the confidence threshold are dropped (a NaN confidence, which
+    no threshold orders, raises ``DataError``), then reciprocal
     duplicates are collapsed; after splitting, pairs are re-symmetrized as
     two directed triples/axioms when ``symmetric`` is set. Only the train
     portion of the interactions becomes axioms; annotations always do,
@@ -269,7 +270,12 @@ def build_dataset(
         raise DataError(f"min_confidence must be a number, not {min_confidence!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, not {seed!r}")
-    kept = [(a, b) for a, b, conf in pair_rows if conf >= min_confidence]
+    kept = []
+    for row, (a, b, conf) in enumerate(pair_rows):
+        if conf >= min_confidence:
+            kept.append((a, b))
+        elif math.isnan(conf):  # no threshold keeps or drops it
+            raise DataError(f"pair_rows[{row}] ({a!r}, {b!r}) has a NaN confidence")
     seen = set()
     unique: list[tuple[str, str]] = []
     for a, b in kept:

@@ -57,12 +57,13 @@ def generate(
         noise_leaf = int(rng.integers(leaves_per_module))
         annotation_rows.append((entity, f"F{noise_module}_{noise_leaf}"))
 
+    # one draw per later entity of each row: the stream of a scalar
+    # rng.random() call per pair, in the same order
     pair_rows = []
     for i in range(n_entities):
-        for j in range(i + 1, n_entities):
-            p = p_intra if module_of[i] == module_of[j] else p_inter
-            if rng.random() < p:
-                pair_rows.append((entities[i], entities[j], confidence))
+        p = np.where(module_of[i + 1 :] == module_of[i], p_intra, p_inter)
+        for j in np.flatnonzero(rng.random(n_entities - i - 1) < p) + i + 1:
+            pair_rows.append((entities[i], entities[j], confidence))
 
     return SyntheticDataset(pair_rows, annotation_rows, taxonomy_text, edges)
 

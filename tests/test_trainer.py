@@ -48,11 +48,31 @@ class TestTrainConfig:
             {"seed": -1},
             {"seed": 1.5},
             {"seed": True},
+            {"dim": 2.5},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": 4.0},
+            {"steps_per_epoch": 1.5},
+            {"negatives_per_positive": 1.5},
+            {"negatives_per_positive": np.float64(2.0)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 2.5), ("epochs", True), ("batch_size", 4.0), ("steps_per_epoch", 1.5),
+         ("negatives_per_positive", 1.5), ("dim", "3")],
+    )
+    def test_whole_number_fields_name_themselves(self, field, value):
+        with pytest.raises(TrainingError, match=f"^{field} must be an integer, not {value!r}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_whole_numbers(self):
+        cfg = TrainConfig(dim=np.int64(3), epochs=np.int32(2), batch_size=np.intp(4))
+        assert (cfg.dim, cfg.epochs, cfg.batch_size) == (3, 2, 4)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -73,27 +93,26 @@ class TestTrainConfig:
 
 class TestAdam:
     def test_first_step_hand_value(self):
-        params = {"x": np.array([0.5])}
-        grads = {"x": np.array([1.0])}
+        p = np.array([0.5])
         state = Adam(lr=0.01)
-        state.step(params, grads)
+        state.step(p, np.array([1.0]))
         # bias-corrected ratio is 1 up to eps, so the step is the full lr
-        assert params["x"][0] == pytest.approx(0.49, abs=1e-6)
+        assert p[0] == pytest.approx(0.49, abs=1e-6)
 
     def test_zero_gradient_is_noop(self):
-        params = {"x": np.array([0.5, -0.25])}
+        p = np.array([0.5, -0.25])
         state = Adam(lr=0.01)
-        state.step(params, {"x": np.zeros(2)})
-        assert np.array_equal(params["x"], [0.5, -0.25])
+        state.step(p, np.zeros(2))
+        assert np.array_equal(p, [0.5, -0.25])
         assert state.t == 1
 
     def test_constant_gradient_moves_monotonically(self):
-        params = {"x": np.array([1.0])}
+        p = np.array([1.0])
         state = Adam(lr=0.01)
-        seen = [params["x"][0]]
+        seen = [p[0]]
         for _ in range(5):
-            state.step(params, {"x": np.array([2.0])})
-            seen.append(params["x"][0])
+            state.step(p, np.array([2.0]))
+            seen.append(p[0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
     @pytest.mark.parametrize("shape", [(9, 4), (9,)])
@@ -101,14 +120,14 @@ class TestAdam:
         rng = np.random.default_rng(7)
         start = rng.normal(size=shape)
         fast, slow = Adam(lr=0.05), Adam(lr=0.05)
-        p_fast, p_slow = {"x": start.copy()}, {"x": start.copy()}
+        p_fast, p_slow = start.copy(), start.copy()
         for _ in range(300):
             grad = rng.normal(size=shape) * (rng.uniform(size=shape) < 0.2)
-            fast.step(p_fast, {"x": grad})
-            ref.adam_step(slow, p_slow, {"x": grad})
-            assert p_fast["x"].tobytes() == p_slow["x"].tobytes()
-        assert fast.m["x"].tobytes() == slow.m["x"].tobytes()
-        assert fast.v["x"].tobytes() == slow.v["x"].tobytes()
+            fast.step(p_fast, grad)
+            ref.adam_step(slow, p_slow, grad)
+            assert p_fast.tobytes() == p_slow.tobytes()
+        assert fast.m.tobytes() == slow.m.tobytes()
+        assert fast.v.tobytes() == slow.v.tobytes()
 
     def test_packed_buffer_matches_separate_tables(self):
         rng = np.random.default_rng(8)
@@ -123,11 +142,12 @@ class TestAdam:
             "class_radii": e.class_radii,
             "rel_vectors": e.rel_vectors,
         }
-        separate, whole = Adam(lr=0.05), Adam(lr=0.05)
+        separate, whole = {name: Adam(lr=0.05) for name in tables}, Adam(lr=0.05)
         for _ in range(300):
             flat = rng.normal(size=theta.size) * (rng.uniform(size=theta.size) < 0.2)
-            separate.step(tables, dict(zip(tables, table_views(flat, e.n_classes, e.dim))))
-            whole.step({"params": theta}, {"params": flat})
+            for (name, table), grad in zip(tables.items(), table_views(flat, e.n_classes, e.dim)):
+                separate[name].step(table, grad)
+            whole.step(theta, flat)
         for name, table in tables.items():
             assert getattr(packed, name).tobytes() == table.tobytes(), name
 
@@ -328,14 +348,15 @@ class TestTrain:
         assert e.class_radii[e.top] == TOP_RADIUS
 
     def test_loss_decreases(self, family_theory):
-        cfg = TrainConfig(
-            dim=2, margin=0.0, epochs=400, batch_size=16, seed=42, eval_every=100
-        )
-        _, trace = train(family_theory, cfg)
-        assert [epoch for epoch, _ in trace.full] == [100, 200, 300, 400]
-        losses = [loss for _, loss in trace.full]
+        # the full-theory loss after 100 and after 400 epochs of the same seed
+        full_batch = LossBatch.from_theory(family_theory, 0.0)
+        losses = []
+        for epochs in (100, 400):
+            cfg = TrainConfig(dim=2, margin=0.0, epochs=epochs, batch_size=16, seed=42)
+            e, trace = train(family_theory, cfg)
+            losses.append(batch_loss(full_batch, e))
+            assert len(trace.minibatch) == epochs
         assert losses[-1] < losses[0]
-        assert len(trace.minibatch) == 400
 
     def test_non_finite_loss_names_bucket(self, monkeypatch):
         from elball.ontology import parse_ontology
@@ -351,6 +372,24 @@ class TestTrain:
         monkeypatch.setattr(trainer, "init_embeddings", init_with_nan)
         with pytest.raises(TrainingError, match="epoch 0 in bucket NF3"):
             train(theory, TrainConfig(dim=2, epochs=3, batch_size=4, seed=0))
+
+    @pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
+    def test_non_finite_loss_names_the_epoch_of_its_step(self, family_theory, neg_mode, monkeypatch):
+        # with 2 steps per epoch, the 5th step is the first of epoch 2
+        calls = []
+
+        def poisoned(batch, e):
+            grads = batch_gradient(batch, e)
+            calls.append(batch)
+            if len(calls) == 5:
+                grads.loss = math.inf
+            return grads
+
+        monkeypatch.setattr(trainer, "batch_gradient", poisoned)
+        cfg = TrainConfig(dim=2, epochs=4, steps_per_epoch=2, batch_size=4, seed=0, neg_mode=neg_mode)
+        with pytest.raises(TrainingError, match="^non-finite loss at epoch 2 in bucket "):
+            train(family_theory, cfg)
+        assert len(calls) == 5
 
     def test_fresh_negatives_mode_runs(self, family_theory):
         cfg = TrainConfig(
@@ -380,6 +419,10 @@ class TestTrain:
     def test_calls_go_through_module_names(self, monkeypatch):
         # the benchmark's traced run times training by patching these names
         from elball.ontology import parse_ontology
+
+        for name in ("batch_loss", "batch_gradient", "generate_negatives"):
+            assert callable(getattr(trainer, name, None)), name
+        assert callable(trainer.Adam.step)
 
         theory = normalize(parse_ontology("A < B\nC < r some D\nB < r some C\n"))
         calls = collections.Counter()
@@ -430,11 +473,9 @@ def per_step_train(theory, cfg):
                 for name, rows in (*pools, ("neg", neg_array))
             })
             grads = batch_gradient(batch, e)
-            optimizer.step({"params": theta}, {"params": grads.flat})
+            optimizer.step(theta, grads.flat)
             np.maximum(e.class_radii, 0.0, out=e.class_radii)
         trace.minibatch.append(grads.loss)
-        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            trace.full.append((epoch + 1, batch_loss(full_batch, e)))
     return e, trace
 
 
@@ -461,13 +502,12 @@ def test_chunked_sampling_equals_per_step_sampling_bitwise(neg_mode, sample_step
     theory = normalize(parse_ontology(SAMPLING_THEORY))
     assert theory.counts() == {"NF1": 1, "NF2": 2, "NF3": 4, "NF4": 3, "Bot1": 0, "Bot2": 0, "Bot4": 0}
     monkeypatch.setattr(trainer, "_SAMPLE_STEPS", sample_steps)  # 5 splits chunks mid-epoch
-    cfg = TrainConfig(dim=3, epochs=7, steps_per_epoch=3, batch_size=6, seed=4,
-                      neg_mode=neg_mode, eval_every=2)
+    cfg = TrainConfig(dim=3, epochs=7, steps_per_epoch=3, batch_size=6, seed=4, neg_mode=neg_mode)
     (e, trace), (ref_e, ref_trace) = train(theory, cfg), per_step_train(theory, cfg)
     assert e.class_centers.tobytes() == ref_e.class_centers.tobytes()
     assert e.class_radii.tobytes() == ref_e.class_radii.tobytes()
     assert e.rel_vectors.tobytes() == ref_e.rel_vectors.tobytes()
-    assert trace == ref_trace and len(trace.minibatch) == 7 and len(trace.full) == 3
+    assert trace == ref_trace and len(trace.minibatch) == 7
 
 
 # Top on a left-hand side: check_model reads such an axiom as inf, and its
