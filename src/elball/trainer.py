@@ -5,9 +5,9 @@ axiom bucket, takes an Adam step on the summed gradient and clamps all
 radii to be non-negative. Top's gradient is always zero, so Adam leaves
 its center and sentinel radius exactly as initialized. Centers, radii
 and relation vectors are views into one flat parameter buffer, so a step
-is one Adam pass over it. Everything is driven by a single seeded
-generator, so a (theory, config) pair maps to a bitwise-reproducible
-embedding.
+is one Adam update of it, with moments stored rescaled (see ``Adam``).
+Everything is driven by a single seeded generator, so a (theory, config)
+pair maps to a bitwise-reproducible embedding.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 100  # draws per negative before the negative is skipped
 _SAMPLE_STEPS = 32  # static-negative steps whose minibatch indices one draw makes
+_RESCALE_STEPS = 1000  # Adam steps between rescales of its stored moments
 _NO_KEY = np.iinfo(np.int64).max  # sentinel past every triple key
 NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
@@ -80,10 +81,12 @@ class LossTrace:
 class Adam:
     """Adam with bias correction over one parameter array.
 
-    Dense: every entry's moments decay each step, gradient or not. ``step``
-    updates the moments and the array in place through two scratch buffers,
-    in the operation order of the textbook formula; the moments and buffers
-    are allocated on the first step.
+    Dense: every entry's moments decay each step, gradient or not. They are
+    stored as ``m / beta1**k`` and ``v / beta2**k``, k the steps since the
+    last rescale, so decay and bias corrections fold into scalars and a step
+    is 10 passes over the array; every ``_RESCALE_STEPS`` steps they are
+    multiplied back, far below overflow. The update is the textbook formula
+    up to rounding. The moments and a scratch buffer come with the first step.
     """
 
     beta1 = 0.9
@@ -93,33 +96,39 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
+        self.k = 0  # steps since the stored moments were last rescaled
 
     def step(self, p: np.ndarray, grad: np.ndarray) -> None:
+        if grad.shape != p.shape:
+            raise TrainingError(f"Adam gradient shape {grad.shape} does not match parameter shape {p.shape}")
         if not self.t:
-            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = (np.empty_like(p), np.empty_like(p))
+            self.m, self.v, self._scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        elif p.shape != self.m.shape:
+            raise TrainingError(f"Adam parameter shape {p.shape} does not match its moments' {self.m.shape}")
         self.t += 1
+        self.k += 1
+        d1, d2 = self.beta1**self.k, self.beta2**self.k  # decay since the last rescale
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        m, v = self.m, self.v
-        a, b = self._scratch
-        # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1.0 - self.beta1, out=a)
+        s = math.sqrt(d2 / bc2)  # the textbook sqrt(v_t / bc2) is s * sqrt(v)
+        m, v, a = self.m, self.v, self._scratch
+        # m += (1 - beta1) / d1 * grad
+        np.multiply(grad, (1.0 - self.beta1) / d1, out=a)
         m += a
-        # v = beta2 * v + (1 - beta2) * grad * grad
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(grad, 1.0 - self.beta2, out=a)
+        # v += (1 - beta2) / d2 * grad * grad
+        np.multiply(grad, (1.0 - self.beta2) / d2, out=a)
         a *= grad
         v += a
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=a)
-        a *= self.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += self.eps
-        a /= b
+        # p -= lr * (d1 * m / bc1) / (s * sqrt(v) + eps)
+        np.sqrt(v, out=a)
+        a += self.eps / s
+        np.divide(m, a, out=a)
+        a *= self.lr * d1 / (bc1 * s)
         p -= a
+        if self.k == _RESCALE_STEPS:
+            m *= d1
+            v *= d2
+            self.k = 0
 
 
 def init_embeddings(theory: NormalizedTheory, cfg: TrainConfig) -> EmbeddingSet:
@@ -231,14 +240,13 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         for step in draws:
             yield LossBatch(cfg.margin, **{name: rows[i] for (name, rows), i in zip(full, step)})
 
-    # static negatives leave the generator to the minibatches, so a chunk's
-    # draws span epochs; fresh ones are drawn again before each epoch's chunk
+    # static negatives are drawn once, so a chunk's draws span epochs;
+    # fresh ones are drawn before each epoch's chunk
     fresh = cfg.neg_mode == "fresh"
     chunk = cfg.steps_per_epoch if fresh else _SAMPLE_STEPS
     total = cfg.epochs * cfg.steps_per_epoch
-    negatives = make_negatives()
     for start in range(0, total, chunk):
-        if fresh:
+        if fresh or not start:
             negatives = make_negatives()
         for step, batch in enumerate(minibatches(min(chunk, total - start), negatives), start):
             grads = batch_gradient(batch, e)
