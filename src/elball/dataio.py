@@ -67,34 +67,54 @@ def save_checkpoint(
     )
     if bad is not None:
         raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "metadata": {"dim": e.dim, **metadata},
-        "classes": {
-            name: {
-                "center": e.class_centers[i].tolist(),
-                "radius": float(e.class_radii[i]),
-            }
-            for i, name in enumerate(class_names)
-        },
-        "relations": {
-            name: e.rel_vectors[i].tolist() for i, name in enumerate(relation_names)
-        },
-    }
+    try:
+        head = json.dumps(
+            {"version": CHECKPOINT_VERSION, "metadata": {"dim": e.dim, **metadata}},
+            indent=1,
+            allow_nan=False,
+        )
+    except ValueError:  # allow_nan=False refused a NaN or ±inf
+        raise CheckpointError(f"cannot write checkpoint {path}: metadata holds a NaN or ±inf") from None
+    classes = (
+        f'{{\n   "center": {_json_floats(center, 4)},\n   "radius": {radius!r}\n  }}'
+        for center, radius in zip(e.class_centers.tolist(), e.class_radii.tolist())
+    )
+    relations = (_json_floats(vector, 3) for vector in e.rel_vectors.tolist())
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
+        # the bytes json.dump(indent=1) writes, without its pure-Python encoder
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+            fh.write(f'{head[:-2]},\n "classes": ')
+            _write_json_object(fh, class_names, classes)
+            fh.write(',\n "relations": ')
+            _write_json_object(fh, relation_names, relations)
+            fh.write("\n}\n")
         os.replace(tmp, path)
-    except BaseException as exc:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, ValueError):  # allow_nan=False refused a NaN or ±inf
-            raise CheckpointError(
-                f"cannot write checkpoint {path}: metadata holds a NaN or ±inf"
-            ) from None
         raise
+
+
+def _json_floats(values: list[float], indent: int) -> str:
+    """A list of finite floats as json.dump(indent=1) writes it at this depth."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * indent
+    return f"[{pad}{(',' + pad).join(map(float.__repr__, values))}\n{' ' * (indent - 1)}]"
+
+
+def _write_json_object(fh, names: list[str], bodies) -> None:
+    """A top-level section's object of formatted bodies, as json.dump(indent=1)
+    writes it; one entry at a time, so the text is never held whole."""
+    if not names:
+        fh.write("{}")
+        return
+    separator = "{\n  "
+    for name, body in zip(names, bodies):
+        fh.write(f"{separator}{json.encoder.encode_basestring_ascii(name)}: {body}")
+        separator = ",\n  "
+    fh.write("\n }")
 
 
 def _misnamed(e: EmbeddingSet, class_names: list[str], relation_names: list[str]) -> str | None:

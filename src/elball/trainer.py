@@ -227,6 +227,9 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
 
     # minibatches draw from the theory's buckets in NormalForm order, then the negatives
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
+    # the loss's scratch arrays, shared by every step: fresh ones each step
+    # let the heap shrink and fault its pages back in
+    work: dict = {}
 
     def minibatches(steps: int, negatives: np.ndarray) -> Iterator[LossBatch]:
         """``steps`` minibatches whose row indices one call draws. The broadcast
@@ -238,7 +241,8 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
         sizes = np.array([len(rows) for _, rows in full], dtype=np.intp)
         draws = rng.integers(0, sizes[None, :, None], size=(steps, len(full), cfg.batch_size))
         for step in draws:
-            yield LossBatch(cfg.margin, **{name: rows[i] for (name, rows), i in zip(full, step)})
+            picked = {name: rows[i] for (name, rows), i in zip(full, step)}
+            yield LossBatch(cfg.margin, **picked, work=work)
 
     # static negatives are drawn once, so a chunk's draws span epochs;
     # fresh ones are drawn before each epoch's chunk

@@ -127,6 +127,48 @@ class TestCheckpoint:
         assert load_checkpoint(path).embeddings.class_radii[0] == TOP_RADIUS
 
 
+def json_dump_bytes(e, class_names, relation_names, metadata):
+    """What save_checkpoint wrote through json.dump before it formatted the tables itself."""
+    payload = {
+        "version": dataio.CHECKPOINT_VERSION,
+        "metadata": {"dim": e.dim, **metadata},
+        "classes": {
+            name: {"center": e.class_centers[i].tolist(), "radius": float(e.class_radii[i])}
+            for i, name in enumerate(class_names)
+        },
+        "relations": {name: e.rel_vectors[i].tolist() for i, name in enumerate(relation_names)},
+    }
+    return (json.dumps(payload, indent=1, allow_nan=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_rels", [1, 3, 0])
+def test_save_writes_the_bytes_of_json_dump(tmp_path, n_rels):
+    e = sample_embeddings(dim=3, n_classes=6, n_rels=n_rels, seed=5)
+    # values whose repr is easy to get wrong; Top's radius is TOP_RADIUS
+    e.class_centers[2] = [-0.0, 5e-324, 1.0]
+    e.class_centers[3] = [1e300, -1e-300, 0.1]
+    e.class_radii[2:4] = [-0.0, 1e300]
+    if n_rels:
+        e.rel_vectors[0] = [0.0, -5e-324, 123456789.125]
+    class_names = ["Top", "Bot", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "naïve ∃r.⊤ 🙂"]
+    relation_names = ["r", "s t", "\x7f"][:n_rels]
+    metadata = {"margin": -0.1, "seed": 7, "name": "é\n", "nested": {"a": [1, 2.5]}}
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, e, class_names, relation_names, metadata)
+    assert path.read_bytes() == json_dump_bytes(e, class_names, relation_names, metadata)
+    ckpt = load_checkpoint(path)
+    assert ckpt.class_names == class_names and ckpt.relation_names == relation_names
+    assert np.array_equal(ckpt.embeddings.class_centers, e.class_centers)
+    assert np.signbit(ckpt.embeddings.class_radii[2])
+
+
+def test_save_refuses_a_non_finite_metadata_value(tmp_path):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(CheckpointError, match="metadata holds a NaN or ±inf"):
+        save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {"margin": math.nan})
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+
+
 @pytest.mark.parametrize("dim", [3, 2.0])
 def test_save_refuses_a_metadata_dim_that_is_not_the_tables(tmp_path, dim):
     path = tmp_path / "ckpt.json"

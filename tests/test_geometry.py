@@ -419,6 +419,22 @@ def test_array_checker_matches_scalar_reading(seed):
         assert check.informational == (form == "NF4")
 
 
+def test_check_model_writes_into_no_handle_block(monkeypatch):
+    theory, e = random_theory(np.random.default_rng(3))
+    want = check_model(theory, e, 0.05)
+    handles = NormalizedTheory.handles
+
+    def read_only(self, form):
+        rows = handles(self, form)
+        rows.flags.writeable = False
+        return rows
+
+    # every block check_model hands the losses is then read-only
+    monkeypatch.setattr(NormalizedTheory, "handles", read_only)
+    got = check_model(theory, e, 0.05)
+    assert [c.violation for c in got.checks] == [c.violation for c in want.checks]
+
+
 # --- the report's summary and its laziness -----------------------------------
 
 

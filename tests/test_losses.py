@@ -417,6 +417,11 @@ def table_batches():
     out.append(LossBatch(gamma, **{name: rows(name, 2 + i) for i, name in enumerate(COLUMNS)}))
     # classes 3 and 4 share a radius: NF2's smaller operand is then c
     out.append(LossBatch(0.0, nf2=np.array([[3, 4, 5], [4, 3, 5], [3, 4, 6]]), nf1=rows("nf1", 2)))
+    # radius-only forms alone (no center rows), NF2 alone (a radius-only row
+    # inside its form), and all eight buckets at sizes of their own
+    out.append(LossBatch(gamma, bot1=rows("bot1", 3), bot4=rows("bot4", 2)))
+    out.append(LossBatch(gamma, nf2=rows("nf2", 5)))
+    out.append(LossBatch(gamma, **{name: rows(name, 9 - i) for i, name in enumerate(COLUMNS)}))
     return out
 
 
@@ -464,3 +469,108 @@ class TestTablePlans:
         e = embed3((1, 0), 0.1, (1, 0), 0.2)
         with pytest.raises(ValueError):
             batch_loss(LossBatch(0.0, nf1=np.array([[C, D, E]])), e)
+
+    @pytest.mark.parametrize(
+        "buckets, name",
+        [
+            # six handles in all, as the plan of two nf1 rows and two bot2
+            # rows expects, but each bucket of the wrong width
+            ({"nf1": [[2, 3, 4], [3, 4, 5]], "bot2": [[2], [3]]}, "nf1"),
+            ({"nf1": [2, 3, 3, 2]}, "nf1"),
+            ({"nf1": [[2, 3]], "bot4": [R, 2]}, "bot4"),
+            ({"bot1": [[2, 3]]}, "bot1"),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [batch_loss, batch_gradient])
+    def test_each_bucket_width_checked(self, fn, buckets, name):
+        e = embed(np.ones((6, 2)), [0, 0, 0.1, 0.2, 0.3, 0.4])
+        batch = LossBatch(0.1, **{k: np.array(v) for k, v in buckets.items()})
+        with pytest.raises(ValueError, match=f"^LossBatch bucket {name} has rows of shape"):
+            fn(batch, e)
+
+    def test_width_one_bucket_may_be_a_column(self):
+        # check_model hands Bot1 rows over as an (n, 1) block
+        e = embed3((1, 0), 0.1, (1, 0), 0.2)
+        flat, column = (LossBatch(0.0, bot1=np.array(rows)) for rows in ([C, D], [[C], [D]]))
+        assert bucket_losses(flat, e) == bucket_losses(column, e)
+        assert batch_gradient(flat, e).flat.tobytes() == batch_gradient(column, e).flat.tobytes()
+
+
+# --- radius-only rows and the run's scratch arrays ---------------------------
+
+
+def center_batch(rng, n_classes=7, n_relations=2):
+    """A batch of every form that has center rows, each with repeated handles."""
+    def rows(kinds, n):
+        cols = [rng.integers(0, n_relations, n) if k == "r" else rng.integers(1, n_classes, n) for k in kinds]
+        return np.stack(cols, axis=1)
+
+    names = ("nf1", "nf2", "nf3", "nf4", "bot2", "neg")
+    return {name: rows(COLUMNS[name], int(rng.integers(3, 9))) for name in names}
+
+
+class TestRadiusOnlyRowsAndWorkspace:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.e = embed(rng.uniform(-1.2, 1.2, (7, 3)), rng.uniform(0.05, 0.9, 7), rng.uniform(-1, 1, (2, 3)))
+        self.rng = rng
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_radius_only_rows_leave_center_and_relation_gradient_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = center_batch(rng)
+        extra = {"bot1": rng.integers(1, 7, 4), "bot4": np.stack([rng.integers(0, 2, 3), rng.integers(1, 7, 3)], 1)}
+        without = batch_gradient(LossBatch(0.05, **rows), self.e)
+        with_ = batch_gradient(LossBatch(0.05, **rows, **extra), self.e)
+        assert with_.class_centers.tobytes() == without.class_centers.tobytes()
+        assert with_.rel_vectors.tobytes() == without.rel_vectors.tobytes()
+        assert not np.array_equal(with_.class_radii, without.class_radii)
+
+    def test_workspace_gives_the_same_bits_as_none(self):
+        work = {}
+        batches = [center_batch(self.rng) for _ in range(3)]
+        batches[1]["bot1"] = np.array([2, 3])  # another plan between two of the same shape
+        batches[2] = {k: v[::-1].copy() for k, v in batches[0].items()}
+        for rows in batches + batches:
+            shared = batch_gradient(LossBatch(0.05, **rows, work=work), self.e)
+            fresh = batch_gradient(LossBatch(0.05, **rows), self.e)
+            assert shared.flat.tobytes() == fresh.flat.tobytes()
+            assert shared.buckets == fresh.buckets
+            assert bucket_losses(LossBatch(0.05, **rows, work=work), self.e) == fresh.buckets
+        assert work  # the scratch arrays stayed with the batches' dict
+
+    def test_results_do_not_share_memory(self):
+        work = {}
+        rows = center_batch(self.rng)
+        first = batch_gradient(LossBatch(0.05, **rows, work=work), self.e)
+        kept = first.flat.copy()
+        rows = {k: v[::-1].copy() for k, v in rows.items()}
+        second = batch_gradient(LossBatch(0.05, **rows, work=work), self.e)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not any(np.shares_memory(first.flat, a) for a in work.values())
+        assert first.flat.tobytes() == kept.tobytes()
+
+    def test_workspace_is_not_part_of_equality_or_repr(self):
+        rows = center_batch(self.rng)
+        assert LossBatch(0.05, **rows, work={"y": np.zeros(3)}) == LossBatch(0.05, **rows)
+        assert "work" not in repr(LossBatch(0.05, work={}))
+
+    def test_empty_buckets_are_shared_and_read_only(self):
+        a, b = LossBatch(0.0), LossBatch(0.1)
+        for name in COLUMNS:
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+            assert getattr(a, name).shape[1:] == ((len(COLUMNS[name]),) if len(COLUMNS[name]) > 1 else ())
+
+    def test_nothing_writes_into_a_batch(self):
+        rows = center_batch(self.rng)
+        rows["bot1"] = np.array([2, 3, 4])
+        rows["bot4"] = np.array([[0, 2], [1, 5]])
+        for array in rows.values():
+            array.flags.writeable = False
+        batch = LossBatch(0.05, **rows)
+        batch_gradient(batch, self.e)
+        bucket_losses(batch, self.e)
+        partial = LossBatch(0.05, nf1=rows["nf1"])  # the other buckets are the shared empties
+        batch_gradient(partial, self.e)
+        bucket_losses(partial, self.e)

@@ -537,6 +537,37 @@ def test_chunked_sampling_equals_per_step_sampling_bitwise(neg_mode, sample_step
     assert trace == ref_trace and len(trace.minibatch) == 7
 
 
+# one axiom of every normal form, so minibatches hold radius-only rows
+ALL_FORMS_THEORY = """
+A < B
+A and B < C
+A < r some B
+r some C < D
+E < Bot
+C and E < Bot
+s some E < Bot
+"""
+
+
+@pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
+def test_runs_in_one_process_are_bitwise_equal(neg_mode):
+    from elball.ontology import parse_ontology
+
+    theory = normalize(parse_ontology(ALL_FORMS_THEORY))
+    assert set(theory.counts().values()) == {1}
+    cfg = TrainConfig(dim=3, epochs=40, steps_per_epoch=2, batch_size=5, seed=2, neg_mode=neg_mode)
+    first = train(theory, cfg)
+    # a run of other shapes in between; each run keeps its own scratch arrays
+    train(normalize(parse_ontology(SAMPLING_THEORY)), TrainConfig(dim=4, epochs=3, batch_size=3))
+    second = train(theory, cfg)
+    reference = per_step_train(theory, cfg)  # batches without scratch arrays
+    for e, trace in (second, reference):
+        assert e.class_centers.tobytes() == first[0].class_centers.tobytes()
+        assert e.class_radii.tobytes() == first[0].class_radii.tobytes()
+        assert e.rel_vectors.tobytes() == first[0].rel_vectors.tobytes()
+        assert trace == first[1]
+
+
 # Top on a left-hand side: check_model reads such an axiom as inf, and its
 # loss is a constant near TOP_RADIUS that two rows of a minibatch overflow
 @pytest.mark.parametrize(
