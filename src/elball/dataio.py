@@ -258,7 +258,7 @@ def split_pairs(pairs: list[tuple[str, str]], seed: int) -> tuple[list, list, li
     """Deterministic shuffled ``SPLIT_RATIOS`` split; leftovers from flooring go to test."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pairs))
-    shuffled = [pairs[i] for i in order]
+    shuffled = [pairs[i] for i in order.tolist()]  # Python ints index a list faster than numpy ints
     n = len(pairs)
     n_train = int(SPLIT_RATIOS[0] * n)
     n_valid = int(SPLIT_RATIOS[1] * n)
@@ -280,29 +280,27 @@ def build_dataset(
     """Turn interaction pairs and annotations into axioms plus an 80/10/10 split.
 
     Pairs below the confidence threshold are dropped (a NaN confidence, which
-    no threshold orders, raises ``DataError``), then reciprocal
-    duplicates are collapsed; after splitting, pairs are re-symmetrized as
-    two directed triples/axioms when ``symmetric`` is set. Only the train
-    portion of the interactions becomes axioms; annotations always do,
-    through ``FUNCTION_RELATION``.
+    no threshold orders, raises ``DataError``), then repeated pairs. When
+    ``symmetric`` is set, a pair and its reverse are one undirected pair,
+    kept as (min, max), which after splitting becomes two directed
+    triples/axioms. Otherwise each row keeps its direction and only exact
+    repeats are dropped. Only the train portion of the interactions becomes
+    axioms; annotations always do, through ``FUNCTION_RELATION``.
     """
     if math.isnan(min_confidence):
         raise DataError(f"min_confidence must be a number, not {min_confidence!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, not {seed!r}")
-    kept = []
-    for row, (a, b, conf) in enumerate(pair_rows):
-        if conf >= min_confidence:
-            kept.append((a, b))
-        elif math.isnan(conf):  # no threshold keeps or drops it
-            raise DataError(f"pair_rows[{row}] ({a!r}, {b!r}) has a NaN confidence")
     seen = set()
     unique: list[tuple[str, str]] = []
-    for a, b in kept:
-        canonical = (a, b) if a <= b else (b, a)
-        if canonical not in seen:
-            seen.add(canonical)
-            unique.append(canonical)
+    for row, (a, b, conf) in enumerate(pair_rows):
+        if conf >= min_confidence:
+            pair = (b, a) if symmetric and b < a else (a, b)
+            if pair not in seen:
+                seen.add(pair)
+                unique.append(pair)
+        elif math.isnan(conf):  # no threshold keeps or drops it
+            raise DataError(f"pair_rows[{row}] ({a!r}, {b!r}) has a NaN confidence")
 
     train_pairs, valid_pairs, test_pairs = split_pairs(unique, seed)
 
@@ -323,6 +321,7 @@ def build_dataset(
     # Concept nodes are immutable, so the axioms share one Nominal per
     # individual and one Existential per (relation, filler).
     onto = Ontology()
+    axioms = onto.axioms
     rel_id = onto.relations.intern(relation)
     fn_rel_id = onto.relations.intern(FUNCTION_RELATION)
     nominals: dict[str, Nominal] = {}
@@ -339,7 +338,7 @@ def build_dataset(
         sup = interacts_with.get(tail)
         if sup is None:
             sup = interacts_with[tail] = Existential(rel_id, nominal(tail))
-        onto.add(GCI(sub, sup))
+        axioms.append(GCI(sub, sup))
     has_function: dict[str, Existential] = {}
     seen_annots = set()
     for entity, cls in annotation_rows:
@@ -350,7 +349,8 @@ def build_dataset(
         sup = has_function.get(cls)
         if sup is None:
             sup = has_function[cls] = Existential(fn_rel_id, Atomic(onto.classes.intern(cls)))
-        onto.add(GCI(sub, sup))
+        axioms.append(GCI(sub, sup))
+    onto.positions.extend([(0, 0)] * len(axioms))  # built in code, not read from a line
     return onto, split
 
 

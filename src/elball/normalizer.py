@@ -70,6 +70,11 @@ class NormalForm(Enum):
         return [self.text % operands for operands in zip(*columns)]  # % is faster than str.format
 
 
+# The members under plain names: on Python 3.10 and 3.11 each NormalForm.NF1
+# is a descriptor lookup, which _normal_form would pay once per axiom.
+_NF1, _NF2, _NF3, _NF4, _BOT1, _BOT2, _BOT4 = NormalForm
+
+
 @dataclass
 class NormalizedTheory:
     """Seven disjoint axiom buckets over an augmented class vocabulary.
@@ -143,7 +148,9 @@ def eliminate_abox(onto: Ontology) -> Ontology:
 
     r(a,b) becomes {a} < r some {b}; C(a) becomes {a} < C; nominal concepts
     inside GCIs become atomic classes named "{a}", one shared Atomic node
-    each, interned on first occurrence (subject before object).
+    each, interned on first occurrence (subject before object). Role
+    assertions share one r some {b} node per (r, b). A concept or GCI
+    without a nominal is kept as it is, not rebuilt.
     """
     out = Ontology(
         classes=onto.classes.copy(),
@@ -152,6 +159,7 @@ def eliminate_abox(onto: Ontology) -> Ontology:
     )
     nominal_classes: dict[int, Atomic] = {}
     some: dict[int, Existential] = {}  # by id(); every key is a node of onto.axioms
+    asserted: dict[tuple[int, int], Existential] = {}  # (r, b) of a role assertion r(a, b)
 
     def nominal_class(individual: int) -> Atomic:
         node = nominal_classes.get(individual)
@@ -161,45 +169,59 @@ def eliminate_abox(onto: Ontology) -> Ontology:
         return node
 
     def convert(concept: Concept) -> Concept:
-        if isinstance(concept, Nominal):
+        kind = type(concept)
+        if kind is Nominal:
             return nominal_class(concept.individual)
-        if isinstance(concept, Existential):
+        if kind is Existential:
             node = some.get(id(concept))
             if node is None:
-                node = some[id(concept)] = Existential(concept.relation, convert(concept.filler))
+                filler = convert(concept.filler)
+                unchanged = filler is concept.filler
+                node = some[id(concept)] = concept if unchanged else Existential(concept.relation, filler)
             return node
-        if not isinstance(concept, Conjunction):
+        if kind is not Conjunction:
             return concept
         # the parser builds a flat conjunction as a left-nested tree as deep as
         # it is long, so the tree is rebuilt post-order from an explicit stack,
-        # where None marks a node whose two converted children are done
+        # where None marks the conjunction below it as having its two
+        # converted children done
         stack: list[Optional[Concept]] = [concept]
         done: list[Concept] = []
         while stack:
             node = stack.pop()
             if node is None:
-                right = done.pop()
-                done.append(Conjunction(done.pop(), right))
-            elif isinstance(node, Conjunction):
-                stack += None, node.right, node.left
+                node = stack.pop()
+                right, left = done.pop(), done.pop()
+                if left is not node.left or right is not node.right:
+                    node = Conjunction(left, right)
+                done.append(node)
+            elif type(node) is Conjunction:
+                stack += node, None, node.right, node.left
             else:
                 done.append(convert(node))
         return done[0]
 
+    axioms = out.axioms
     try:
         for axiom, position in zip(onto.axioms, onto.positions):
-            if isinstance(axiom, RoleAssertion):
-                converted: Axiom = GCI(
-                    nominal_class(axiom.subject),
-                    Existential(axiom.relation, nominal_class(axiom.object)),
-                )
-            elif isinstance(axiom, Instantiation):
-                converted = GCI(nominal_class(axiom.individual), convert(axiom.concept))
+            kind = type(axiom)
+            if kind is RoleAssertion:
+                sub = nominal_class(axiom.subject)
+                key = (axiom.relation, axiom.object)
+                sup = asserted.get(key)
+                if sup is None:
+                    sup = asserted[key] = Existential(axiom.relation, nominal_class(axiom.object))
+                axiom = GCI(sub, sup)
+            elif kind is Instantiation:
+                axiom = GCI(nominal_class(axiom.individual), convert(axiom.concept))
             else:
-                converted = GCI(convert(axiom.sub), convert(axiom.sup))
-            out.add(converted, position)
+                sub, sup = convert(axiom.sub), convert(axiom.sup)
+                if sub is not axiom.sub or sup is not axiom.sup:
+                    axiom = GCI(sub, sup)
+            axioms.append(axiom)
     except RecursionError:
         raise _nested_too_deeply(position[0]) from None
+    out.positions = onto.positions[: len(axioms)]
     some.clear()  # convert refers to itself, so only the cyclic GC would free it
     return out
 
@@ -231,10 +253,10 @@ def _normal_form(sub: Concept, sup: Concept) -> Optional[tuple[NormalForm, objec
     if isinstance(sub, Atomic) and sub.cls != BOT_ID:
         if isinstance(sup, Atomic):
             if sup.cls == BOT_ID:
-                return NormalForm.BOT1, sub.cls
-            return NormalForm.NF1, (sub.cls, sup.cls)
+                return _BOT1, sub.cls
+            return _NF1, (sub.cls, sup.cls)
         if isinstance(sup, Existential) and isinstance(sup.filler, Atomic) and sup.filler.cls != BOT_ID:
-            return NormalForm.NF3, (sub.cls, sup.relation, sup.filler.cls)
+            return _NF3, (sub.cls, sup.relation, sup.filler.cls)
         return None
     if not isinstance(sup, Atomic):
         return None
@@ -243,12 +265,12 @@ def _normal_form(sub: Concept, sup: Concept) -> Optional[tuple[NormalForm, objec
         if not (isinstance(left, Atomic) and isinstance(right, Atomic)) or BOT_ID in (left.cls, right.cls):
             return None
         if sup.cls == BOT_ID:
-            return NormalForm.BOT2, (left.cls, right.cls)
-        return NormalForm.NF2, (left.cls, right.cls, sup.cls)
+            return _BOT2, (left.cls, right.cls)
+        return _NF2, (left.cls, right.cls, sup.cls)
     if isinstance(sub, Existential) and isinstance(sub.filler, Atomic) and sub.filler.cls != BOT_ID:
         if sup.cls == BOT_ID:
-            return NormalForm.BOT4, (sub.relation, sub.filler.cls)
-        return NormalForm.NF4, (sub.relation, sub.filler.cls, sup.cls)
+            return _BOT4, (sub.relation, sub.filler.cls)
+        return _NF4, (sub.relation, sub.filler.cls, sup.cls)
     return None
 
 
@@ -271,7 +293,8 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     are drawn from the "N#<k>" namespace in introduction order; identical
     complex subconcepts reuse the same fresh name within one run (per
     rewriting polarity). Axioms whose left-hand side contains Bot are
-    dropped as tautologies; duplicates are deduplicated. A nominal is
+    dropped as tautologies; duplicates are deduplicated. An axiom that is
+    already normal goes straight to its bucket. A nominal is
     refused: ``eliminate_abox`` must run first. A NormalizationError names
     the line of the input axiom it arose from.
     """
@@ -281,8 +304,8 @@ def normalize(onto: Ontology) -> NormalizedTheory:
     # Fresh-name sharing is per polarity: "sub" entries carry a defining
     # axiom  fresh < concept,  "sup" entries carry  concept < fresh.
     fresh_of: dict[tuple[str, Concept], int] = {}
-    # each bucket beside the set that deduplicates it
-    buckets = {form: (getattr(theory, form.field), set()) for form in NormalForm}
+    # each bucket's entries as the keys of a dict: deduplicated, in first-seen order
+    buckets: dict[NormalForm, dict] = {form: {} for form in NormalForm}
 
     def fresh(concept: Concept, polarity: str) -> tuple[Atomic, bool]:
         key = (polarity, concept)
@@ -294,13 +317,15 @@ def normalize(onto: Ontology) -> NormalizedTheory:
 
     def add(sub: Concept, sup: Concept) -> None:
         found = _normal_form(sub, sup)
-        if found is not None:
+        if found is None:
+            rewrite(sub, sup)
+        else:
             form, entry = found
-            bucket, seen = buckets[form]
-            if entry not in seen:
-                seen.add(entry)
-                bucket.append(entry)
-        elif nominals := [c for c in (sub, sup) if isinstance(c, Nominal)]:
+            buckets[form][entry] = None
+
+    def rewrite(sub: Concept, sup: Concept) -> None:
+        """Add the normal forms of  sub < sup,  which is not normal itself."""
+        if nominals := [c for c in (sub, sup) if isinstance(c, Nominal)]:
             # the rules below bring every nested nominal to a side of an axiom of its
             # own; one in a tautology is dropped with it, as after eliminate_abox
             name = onto.individuals.name(nominals[0].individual)
@@ -363,12 +388,19 @@ def normalize(onto: Ontology) -> NormalizedTheory:
                 raise NormalizationError(
                     "ontology still contains ABox axioms; run eliminate_abox first"
                 )
-            add(axiom.sub, axiom.sup)
+            found = _normal_form(axiom.sub, axiom.sup)
+            if found is None:
+                rewrite(axiom.sub, axiom.sup)
+            else:
+                form, entry = found
+                buckets[form][entry] = None
         except RecursionError:
             raise _nested_too_deeply(line) from None
         except NormalizationError as exc:
             if line:  # axioms built in code carry line 0
                 exc.args = (f"line {line}: {exc}",)
             raise
-    del add  # add refers to itself, so only the cyclic GC would free its closure
+    del add, rewrite  # they refer to each other, so only the cyclic GC would free them
+    for form, entries in buckets.items():
+        setattr(theory, form.field, list(entries))
     return theory

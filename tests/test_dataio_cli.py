@@ -398,6 +398,20 @@ class TestBuildDataset:
         )
         assert split.train + split.valid + split.test == [("P1", "interacts", "P2")]
 
+    def test_symmetric_off_keeps_each_row_direction(self):
+        # P2 sorts after P1; each row keeps its direction, a reverse row is a
+        # pair of its own, and only exact repeats are dropped
+        rows = [("P2", "P1", 900.0), ("P1", "P2", 900.0), ("P2", "P1", 900.0)]
+        rows += [(f"Q{i}", f"P{i}", 900.0) for i in range(10)]
+        onto, split = build_dataset(rows, [], seed=0, symmetric=False)
+        triples = split.train + split.valid + split.test
+        assert sorted(triples) == sorted({(a, "interacts", b) for a, b, _ in rows})
+        texts = [format_axiom(axiom, onto) for axiom in onto.axioms]
+        assert texts == [f"{{{h}}} < interacts some {{{t}}}" for h, _, t in split.train]
+        assert any(h.startswith("Q") for h, _, _ in split.train)
+        _, split = build_dataset(rows, [], seed=0)  # symmetric: one undirected pair each
+        assert len(split.train + split.valid + split.test) == 2 * 11
+
     def test_annotation_axiom_text(self):
         onto, _ = build_dataset([], [("P", "F"), ("P", "F")], seed=0)
         assert len(onto.axioms) == 1

@@ -90,6 +90,23 @@ def test_eliminate_shares_one_atomic_per_nominal_class():
     assert len(nodes[out.classes.id("{b}")]) == 1
 
 
+def test_eliminate_shares_one_existential_per_role_assertion_object():
+    onto = parse_ontology("r(a, b)\nr(c, b)\ns(a, b)\nr(a, c)\nr(c, b)\n")
+    sups = [axiom.sup for axiom in eliminate_abox(onto).axioms]
+    assert sups[0] is sups[1] is sups[4]  # r some {b}
+    assert sups[2] is not sups[0] and sups[3] is not sups[0]
+    assert len({id(sup) for sup in sups}) == 3
+
+
+def test_eliminate_keeps_what_holds_no_nominal():
+    onto = parse_ontology("A < r some (B and s some C)\n{a} and B < r some C\n")
+    out = eliminate_abox(onto)
+    assert out.axioms[0] is onto.axioms[0]
+    sub, sup = out.axioms[1].sub, out.axioms[1].sup
+    assert sub.right is onto.axioms[1].sub.right and sup is onto.axioms[1].sup
+    assert out.positions == onto.positions
+
+
 def test_abox_vocabulary_and_bucket_order():
     """Class handles feed checkpoints, so their order is part of the contract."""
     onto = parse_ontology(
@@ -262,6 +279,27 @@ def test_normalize_leaves_no_reference_cycle():
 def test_duplicates_removed():
     theory = normalize(parse_ontology("A < B\nA < B\n"))
     assert theory.counts()["NF1"] == 1
+    # An axiom already normal goes to its bucket directly and the others through
+    # the rewrite; an entry from either path is kept once, where it was first made.
+    cases = [
+        # a normal axiom repeats entries that the rewrite of an earlier one made
+        ("A < B and r some C\nA < r some C\nA < B\n", {"NF1": ["A < B"], "NF3": ["A < r some C"]}),
+        ("A < B and C\nA < C\n", {"NF1": ["A < B", "A < C"]}),
+        ("r some (A and B) < C\nr some N#0 < C\nA and B < N#0\n",
+         {"NF2": ["A and B < N#0"], "NF4": ["r some N#0 < C"]}),
+        # a rewrite makes entries that an earlier normal axiom added
+        ("A < C\nA < B and C\n", {"NF1": ["A < C", "A < B"]}),
+        ("A < r some C\nD < B\nA < B and r some C and D\n",
+         {"NF1": ["D < B", "A < B", "A < D"], "NF3": ["A < r some C"]}),
+        ("A and B < Bot\nr some C < Bot\nA and B and r some C < Bot\n",
+         {"NF2": ["A and B < N#1"], "NF4": ["r some C < N#0"], "Bot2": ["A and B < Bot", "N#1 and N#0 < Bot"],
+          "Bot4": ["r some C < Bot"]}),
+    ]
+    for text, buckets in cases:
+        theory = normalize(parse_ontology(text))
+        names = theory.names()
+        found = {form.value: form.format(theory.handles(form), names) for form in NormalForm}
+        assert {form: rows for form, rows in found.items() if rows} == buckets, text
 
 
 def test_structural_sharing_of_fresh_names():

@@ -102,6 +102,36 @@ def test_interning_is_stable():
     assert a1 == a2
 
 
+def atomic_nodes(concepts) -> dict[int, set[int]]:
+    """Class handle -> the id() of every Atomic node for it among ``concepts``."""
+    nodes: dict[int, set[int]] = {}
+    stack = list(concepts)
+    while stack:
+        concept = stack.pop()
+        if isinstance(concept, Atomic):
+            nodes.setdefault(concept.cls, set()).add(id(concept))
+        elif isinstance(concept, Conjunction):
+            stack += concept.left, concept.right
+        elif isinstance(concept, Existential):
+            stack.append(concept.filler)
+    return nodes
+
+
+def test_one_atomic_node_per_class_within_a_parse_call():
+    text = "A < B\nB and A < r some (A and C)\n{x} : A and Top\nr some B < A\nr(x, y)\n"
+    onto = parse_ontology(text)
+    concepts = [c for a in onto.axioms if isinstance(a, GCI) for c in (a.sub, a.sup)]
+    concepts += [a.concept for a in onto.axioms if isinstance(a, Instantiation)]
+    nodes = atomic_nodes(concepts)
+    assert sorted(onto.classes.name(cls) for cls in nodes) == ["A", "B", "C", "Top"]
+    assert all(len(ids) == 1 for ids in nodes.values())
+    # another call into the same ontology interns the same handles
+    again = parse_ontology("C < A\n", onto)
+    assert again.axioms[-1] == GCI(Atomic(onto.classes.id("C")), Atomic(onto.classes.id("A")))
+    line = parse_axiom("A and (A and B) < r some A", onto)
+    assert len(atomic_nodes([line.sub, line.sup])[onto.classes.id("A")]) == 1
+
+
 def test_positions_recorded():
     onto = parse_ontology("A < B\n\nC < D\n")
     assert [line for line, _ in onto.positions] == [1, 3]
