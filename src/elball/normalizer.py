@@ -139,6 +139,16 @@ def _nested_too_deeply(line: int) -> NormalizationError:
     return NormalizationError((f"line {line}: " if line else "") + "axiom nested too deeply to normalize")
 
 
+def _positions(onto: Ontology) -> list[tuple[int, int]]:
+    """``onto.positions``, refused unless it holds one position per axiom."""
+    if len(onto.positions) != len(onto.axioms):
+        raise NormalizationError(
+            f"{len(onto.axioms)} axioms but {len(onto.positions)} positions; "
+            "add axioms with Ontology.add, which records a position for each"
+        )
+    return onto.positions
+
+
 def nominal_class_name(individual_name: str) -> str:
     return "{" + individual_name + "}"
 
@@ -203,7 +213,7 @@ def eliminate_abox(onto: Ontology) -> Ontology:
 
     axioms = out.axioms
     try:
-        for axiom, position in zip(onto.axioms, onto.positions):
+        for axiom, position in zip(onto.axioms, _positions(onto)):
             kind = type(axiom)
             if kind is RoleAssertion:
                 sub = nominal_class(axiom.subject)
@@ -221,7 +231,7 @@ def eliminate_abox(onto: Ontology) -> Ontology:
             axioms.append(axiom)
     except RecursionError:
         raise _nested_too_deeply(position[0]) from None
-    out.positions = onto.positions[: len(axioms)]
+    out.positions = list(onto.positions)
     some.clear()  # convert refers to itself, so only the cyclic GC would free it
     return out
 
@@ -382,7 +392,7 @@ def normalize(onto: Ontology) -> NormalizedTheory:
             for definition in reversed(definitions):
                 add(*definition)
 
-    for axiom, (line, _) in zip(onto.axioms, onto.positions):
+    for axiom, (line, _) in zip(onto.axioms, _positions(onto)):
         try:
             if not isinstance(axiom, GCI):
                 raise NormalizationError(

@@ -169,6 +169,7 @@ class Ontology:
 
     Immutable by convention after construction; ``positions`` carries the
     (line, column) of each axiom for diagnostics, parallel to ``axioms``.
+    Axioms given without positions are built in code and get (0, 0) each.
     """
 
     classes: Vocabulary = field(default_factory=class_vocabulary)
@@ -176,6 +177,10 @@ class Ontology:
     individuals: Vocabulary = field(default_factory=Vocabulary)
     axioms: list[Axiom] = field(default_factory=list)
     positions: list[tuple[int, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.positions:
+            self.positions = [(0, 0)] * len(self.axioms)
 
     def add(self, axiom: Axiom, position: tuple[int, int] = (0, 0)) -> None:
         self.axioms.append(axiom)

@@ -174,6 +174,13 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
     contiguous rows of tails, and adds them left to right from 0.0, as ``sum``
     does, so its scores equal ``entity_similarity``'s bit for bit. Unannotated
     or unknown heads and tails score -inf.
+
+    Consecutive calls with an equal pool of tails (``==`` as lists, which
+    tests each name's identity first) reuse its resolved columns: the scorer
+    keeps a copy of the last pool's names with its gathered columns and
+    sizes, so scoring many heads against one candidate pool, as
+    ``ranking_report`` does, looks the pool's names up once. A pool changed
+    in place or a different pool is resolved afresh.
     """
     if measure not in MEASURES:
         raise SemSimError(f"unknown measure {measure!r}")
@@ -194,14 +201,21 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
     blank = len(entities)
     # the padding column is -inf, so a row maximum never picks it
     table = np.hstack([_similarity_table(index, nodes, measure), np.full((pad, 1), -math.inf)])
+    # the last pool resolved: a copy of its names, its columns (slots × n) and sizes
+    last = ([], cols[:, :0], sizes[:0])
 
     def fn(head, rel, tails):
+        nonlocal last
         n = len(tails)
         h = row_of.get(head)
         if h is None:
             return np.full(n, -math.inf)
-        rows = np.fromiter(map(row_of.get, tails, repeat(blank)), np.intp, n)
-        tail_cols = cols[:, rows]  # slots × n
+        given = tails if type(tails) is list else list(tails)
+        names, tail_cols, tail_sizes = last  # one read, so the three always match
+        if given != names:
+            rows = np.fromiter(map(row_of.get, given, repeat(blank)), np.intp, n)
+            tail_cols, tail_sizes = cols[:, rows], sizes[rows]
+            last = given.copy(), tail_cols, tail_sizes
         head_rows = table[cols[: sizes[h], h]]
         best1 = head_rows[:, tail_cols].max(axis=1)
         # padded tail columns gather 0.0, which leaves a sum from 0.0 unchanged
@@ -211,6 +225,6 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
             s1 = s1 + best
         for best in best2:
             s2 = s2 + best
-        return 0.5 * (s1 / len(head_rows) + s2 / sizes[rows])
+        return 0.5 * (s1 / len(head_rows) + s2 / tail_sizes)
 
     return fn

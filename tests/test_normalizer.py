@@ -107,6 +107,33 @@ def test_eliminate_keeps_what_holds_no_nominal():
     assert out.positions == onto.positions
 
 
+def test_normalize_keeps_an_axiom_built_in_code():
+    counts = normalize(Ontology(axioms=[GCI(TOP, BOT)])).counts()
+    assert counts["Bot1"] == 1 and sum(counts.values()) == 1
+
+
+def test_eliminate_abox_keeps_an_axiom_built_in_code():
+    onto = Ontology(axioms=[GCI(TOP, BOT)])
+    assert onto.positions == [(0, 0)]
+    out = eliminate_abox(onto)
+    assert out.axioms == [GCI(TOP, BOT)] and out.positions == [(0, 0)]
+
+
+def test_eliminate_abox_keeps_axioms_built_in_code_and_added():
+    onto = Ontology(axioms=[GCI(TOP, BOT)])
+    onto.add(GCI(Atomic(onto.classes.intern("A")), TOP))
+    assert eliminate_abox(onto).axioms == onto.axioms
+    assert normalize(onto).n_axioms() == 2
+
+
+def test_axioms_without_positions_are_refused():
+    onto = Ontology(axioms=[GCI(TOP, BOT)])
+    onto.axioms.append(GCI(TOP, BOT))
+    for step in (eliminate_abox, normalize):
+        with pytest.raises(NormalizationError, match="2 axioms but 1 positions"):
+            step(onto)
+
+
 def test_abox_vocabulary_and_bucket_order():
     """Class handles feed checkpoints, so their order is part of the contract."""
     onto = parse_ontology(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from elball import cli
+from elball.evaluation import LinkSplit, ranking_report
 from elball.semsim import (
     SemSimError,
     bma_similarity,
@@ -203,6 +204,13 @@ def test_root_is_every_ancestor_set_and_no_ic_is_negative(seed):
     assert all(ic >= 0.0 for ic in index.ic.values() if ic is not None)
 
 
+def assert_scores_are_exact(index, measure, head, tails, got):
+    """``got`` equals ``entity_similarity`` of head and each tail, bit for bit."""
+    got = np.asarray(got, dtype=np.float64)
+    expect = np.array([index.entity_similarity(head, t, measure) for t in tails], dtype=np.float64)
+    np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64), err_msg=f"{head} {tails}")
+
+
 @pytest.mark.parametrize("measure", ["resnik", "lin"])
 @pytest.mark.parametrize("seed", range(8))
 def test_score_fn_equals_scalar_bma_bitwise(seed, measure):
@@ -212,9 +220,94 @@ def test_score_fn_equals_scalar_bma_bitwise(seed, measure):
     tails = entities + ["ghost", "ghost"] + entities[:5]
     tails = [tails[i] for i in np.random.default_rng(seed).permutation(len(tails))]
     for head in entities + ["ghost"]:
-        got = np.asarray(fn(head, "interacts", tails), dtype=np.float64)
-        expect = np.array([index.entity_similarity(head, t, measure) for t in tails])
-        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64), err_msg=head)
+        assert_scores_are_exact(index, measure, head, tails, fn(head, "interacts", tails))
+
+
+@pytest.mark.parametrize("measure", ["resnik", "lin"])
+@pytest.mark.parametrize("seed", range(4))
+def test_remembered_pool_never_goes_stale(seed, measure):
+    index = random_taxonomy(seed)
+    fn = semsim_score_fn(index, measure)
+    entities = list(index.annotations)
+    heads = [entities[0], "ghost", entities[1]]  # an unknown head returns before the pool
+
+    def score(tails):
+        for head in heads:
+            assert_scores_are_exact(index, measure, head, tails, fn(head, "interacts", tails))
+
+    pool = entities[:9]
+    score(pool)
+    pool.reverse()
+    score(pool)
+    pool[4] = entities[-1]
+    score(pool)
+    pool.append(entities[9])
+    score(pool)
+    score(list(pool))  # the same names in a new list
+    score(tuple(pool))
+    score(np.array(pool))
+    score(np.array(pool, dtype=object))
+    score([])
+    score(["ghost", "Bare", entities[2], "ghost"])  # unknown and unannotated names
+    score(())
+    score(["ghost"])
+
+
+@pytest.mark.parametrize("measure", ["resnik", "lin"])
+@pytest.mark.parametrize("seed", range(4))
+def test_alternating_pools_in_one_report(seed, measure):
+    index = random_taxonomy(seed)
+    entities = list(index.annotations)
+    rng = np.random.default_rng(seed)
+    a = [entities[i] for i in rng.permutation(len(entities))] + ["ghost"]
+    b = entities[::2]
+    # ranking_report scores the relations in the order they first appear:
+    # pool a, then b, then a again as a new list
+    pools = {"r": a, "s": b, "t": list(a)}
+    test = [(h, r, str(rng.choice(pools[r]))) for h in entities for r in "rst"]
+    train = [(h, r, str(rng.choice(pools[r]))) for h in entities[::3] for r in "rst"]
+    split = LinkSplit(train=train, test=test, candidates=pools)
+    fn = semsim_score_fn(index, measure)
+    calls = []
+
+    def captured(head, rel, tails):
+        calls.append(rel)
+        scores = fn(head, rel, tails)
+        assert_scores_are_exact(index, measure, head, tails, scores)
+        return scores
+
+    def scalar(head, rel, tails):
+        return np.array([index.entity_similarity(head, t, measure) for t in tails])
+
+    assert ranking_report(split, captured) == ranking_report(split, scalar)
+    assert calls == [r for r in "rst" for _ in entities]
+
+
+class CountedName(str):
+    """A name that counts the lookups made with it: each hashes it once."""
+
+    def __new__(cls, value):
+        name = super().__new__(cls, value)
+        name.hashes = 0
+        return name
+
+    def __hash__(self):
+        self.hashes += 1
+        return str.__hash__(self)
+
+
+def test_report_resolves_a_pool_once_not_once_per_head():
+    index = random_taxonomy(0)
+    entities = list(index.annotations)
+
+    def hashes_per_name(n_heads):
+        pool = [CountedName(e) for e in [*entities, "ghost"]]
+        test = [(h, "r", h) for h in entities[:n_heads]]
+        ranking_report(LinkSplit(test=test, candidates={"r": pool}), semsim_score_fn(index))
+        return [name.hashes for name in pool]
+
+    assert len(entities) > 10
+    assert hashes_per_name(len(entities)) == hashes_per_name(2)
 
 
 def test_score_fn_rejects_unknown_measure_at_construction(chain):
