@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import add
 from typing import Callable, Hashable, Iterable, Optional
 
 import numpy as np
@@ -80,16 +82,16 @@ def bma_similarity(
 ) -> float:
     """Symmetric best-match average of pairwise class similarities.
 
-    Each side's best matches are summed over its classes in sorted order,
-    so the float result does not depend on the iteration order of a set,
-    which for strings changes with PYTHONHASHSEED.
+    Each side's best matches are added left to right from 0.0 in sorted class
+    order, so the float result depends neither on a set's iteration order
+    (PYTHONHASHSEED) nor on the Python version (``sum`` is compensated from 3.12).
     """
     c1, c2 = sorted(classes1), sorted(classes2)
     if not c1 or not c2:
         raise SemSimError("best-match average requires nonempty annotation sets")
     best1 = [max(pairwise(a, b) for b in c2) for a in c1]
     best2 = [max(pairwise(a, b) for a in c1) for b in c2]
-    return 0.5 * (sum(best1) / len(best1) + sum(best2) / len(best2))
+    return 0.5 * (reduce(add, best1, 0.0) / len(best1) + reduce(add, best2, 0.0) / len(best2))
 
 
 def build_taxonomy(
@@ -171,9 +173,9 @@ def semsim_score_fn(index: TaxonomyIndex, measure: str = "resnik"):
     order, the order ``bma_similarity`` sees. Each call then takes every best
     match with array maxima, a head class's over the slot axis of a (head
     classes, slots, tails) gather, so that each maximum runs between
-    contiguous rows of tails, and adds them left to right from 0.0, as ``sum``
-    does, so its scores equal ``entity_similarity``'s bit for bit. Unannotated
-    or unknown heads and tails score -inf.
+    contiguous rows of tails, and adds them left to right from 0.0, as
+    ``bma_similarity`` does, so its scores equal ``entity_similarity``'s
+    bit for bit. Unannotated or unknown heads and tails score -inf.
 
     Consecutive calls with an equal pool of tails (``==`` as lists, which
     tests each name's identity first) reuse its resolved columns: the scorer

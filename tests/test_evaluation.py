@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,6 @@ from elball.evaluation import (
     RankingReport,
     embedding_score_fn,
     entity_index,
-    rank_query,
     ranking_report,
 )
 from elball.semsim import build_taxonomy, semsim_score_fn
@@ -96,33 +96,41 @@ def const_scores(mapping, default=0.0):
     return fn
 
 
+def rank_one(true_tail, candidates, fn, exclude=()):
+    """The filtered rank and filtered pool size of the query (a, r, true_tail),
+    from single-query reports; the tails in ``exclude`` are known train tails.
+    A score that puts the true tail last ranks it at the pool size."""
+    split = LinkSplit(
+        train=[("a", "r", t) for t in exclude],
+        test=[("a", "r", true_tail)],
+        candidates={"r": list(candidates)},
+    )
+    last = const_scores({true_tail: -math.inf})
+    return ranking_report(split, fn).filtered_mean_rank, ranking_report(split, last).filtered_mean_rank
+
+
 class TestRankQuery:
+    """Ranking one query, through single-query reports."""
+
     def test_unique_max_is_rank_one(self):
         fn = const_scores({"b": -0.1}, default=-1.0)
-        rank, n = rank_query("a", "r", "b", list("bcdef"), fn)
-        assert (rank, n) == (1, 5)
+        assert rank_one("b", "bcdef", fn) == (1, 5)
 
     def test_all_ties_rank_worst(self):
-        fn = const_scores({}, default=0.0)
         tails = [f"t{i}" for i in range(10)]
-        rank, n = rank_query("a", "r", "t0", tails, fn)
-        assert (rank, n) == (10, 10)
+        assert rank_one("t0", tails, const_scores({}, default=0.0)) == (10, 10)
 
     def test_exclusion_drops_competitors(self):
         fn = const_scores({"b": -0.5}, default=0.0)
-        rank, _ = rank_query("a", "r", "b", list("bcd"), fn)
-        assert rank == 3
-        rank, n = rank_query("a", "r", "b", list("bcd"), fn, exclude={"c", "d"})
-        assert (rank, n) == (1, 1)
+        assert rank_one("b", "bcd", fn)[0] == 3
+        assert rank_one("b", "bcd", fn, exclude={"c", "d"}) == (1, 1)
 
     def test_true_tail_never_excluded(self):
-        fn = const_scores({})
-        rank, n = rank_query("a", "r", "b", list("bc"), fn, exclude={"b"})
-        assert n == 2 and rank == 2
+        assert rank_one("b", "bc", const_scores({}), exclude={"b"}) == (2, 2)
 
     def test_true_tail_must_be_candidate(self):
         with pytest.raises(EvaluationError):
-            rank_query("a", "r", "z", list("bcd"), const_scores({}))
+            rank_one("z", "bcd", const_scores({}))
 
 
 class TestRankingReport:
@@ -524,3 +532,149 @@ def test_report_is_equal_under_any_order_of_the_test_queries(scorer, seed, monke
         test = [split.test[q] for q in rng.permutation(len(split.test))]
         shuffled = LinkSplit(split.train, split.valid, test, split.candidates)
         assert ranking_report(shuffled, fn) == report
+
+
+# --- the screened rank path -------------------------------------------------
+
+SCREEN_KINDS = ["random", "far", "cancel", "edges"]
+
+
+def screen_instance(kind, seed, dim=9, n=30):
+    """Tables of one kind, with distinct heads, a pool with repeated names and
+    queries (row, col) over them, ``row`` sorted. Row 0 is Top and is left out.
+
+    random: seeded centers, radii and relation. far: centers of norm ~1e4 that
+    lie 1e-6 apart, with tiny radii, a zero relation and gamma 0. cancel: the relation
+    cancels head C1's center. edges: class C2 duplicates C1, C3's radius puts
+    its head's queries on the zero plateau, and C7 and C8 are placed so their
+    arguments against head C4 land at C4's first query's T and at 0. Head C5
+    asks for C1, which scores below 0 and ties with C2 and C1's other copies.
+    """
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 1, (n, dim))
+    radii = rng.uniform(0, 1.5, n)
+    rel = rng.normal(0, 1, dim)
+    if kind == "far":
+        base = rng.normal(0, 1, dim)
+        centers = 1e4 * base / np.linalg.norm(base) + rng.normal(0, 1e-6, (n, dim))
+        radii, rel = rng.uniform(0, 2e-6, n), np.zeros(dim)
+    elif kind == "cancel":
+        rel = -centers[1]
+    elif kind == "edges":
+        radii[1] = 0.0
+        centers[2], radii[2], radii[3] = centers[1], radii[1], 6.0
+    names = [f"C{i}" for i in range(1, n)]
+    pool = names + ["C1", "C5", "C1"]
+    heads = names[:12]
+    row = np.sort(np.concatenate([np.arange(len(heads)), rng.integers(0, len(heads), 10)]))
+    col = rng.integers(0, len(names), len(row))
+    col[row == 0] = 0  # head C1 against true tail C1, tied with C2
+    gamma = 0.0 if kind == "far" else 0.05
+    if kind == "edges":
+        col[row == 3], col[row == 4] = 5, 0  # heads C4 and C5 ask for C6 and C1
+        moved = centers[4] + rel
+        gap = np.linalg.norm(moved - centers[[6, 7, 8]], axis=-1)
+        T = max(0.0, gap[0] - radii[4] - radii[6] - gamma)
+        radii[7] = gap[1] - radii[4] - gamma - T
+        radii[8] = gap[2] - radii[4] - gamma
+    e = embed(centers, radii, rel[None])
+    fn = embedding_score_fn(e, {f"C{i}": i for i in range(n)}, {"r": 0}, gamma)
+    return fn, heads, pool, row, col
+
+
+def exact_ahead(fn, heads, pool, row, col):
+    scores = np.vstack(list(fn.block(heads, "r", pool)))
+    return scores[row] >= scores[row, col, None]
+
+
+def screened_ahead(fn, heads, pool, row, col):
+    runs = list(fn.ahead(heads, "r", pool, row, col))
+    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+    return np.vstack([ahead for _, _, ahead in runs])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", SCREEN_KINDS)
+@pytest.mark.parametrize("dim", [3, 9, 25])
+def test_screen_error_is_within_its_bound(kind, seed, dim, monkeypatch):
+    fn, heads, pool, row, col = screen_instance(kind, seed, dim)
+    moved, rh, centers, rt = fn._gather(heads, "r", pool)
+    monkeypatch.setattr(evaluation, "_BLOCK", len(pool))  # one head a block: E is E_h
+    runs = evaluation._screen(moved, rh, centers, rt, fn.gamma, np.arange(len(heads)))
+    for h, (start, stop, a, bound) in enumerate(runs):
+        assert (start, stop) == (h, h + 1)
+        exact = evaluation._args(moved[h], rh[h], centers, rt, fn.gamma)
+        error = np.abs(a[0] - rh[h] - fn.gamma - exact)
+        assert error.max() <= bound, (kind, h)
+        assert bound < 1e-6 * (1 + np.abs(moved[h]).sum() + np.abs(centers).sum(1).max())
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", SCREEN_KINDS)
+@pytest.mark.parametrize("block", [1, 7, 1 << 18])
+def test_screened_ahead_equals_exact_comparisons(kind, seed, block, monkeypatch):
+    fn, heads, pool, row, col = screen_instance(kind, seed, dim=9)
+    monkeypatch.setattr(evaluation, "_BLOCK", block * len(pool))  # head rows and queries a block
+    got = screened_ahead(fn, heads, pool, row, col)
+    want = exact_ahead(fn, heads, pool, row, col)
+    assert np.array_equal(got, want)
+    scores = np.vstack(list(fn.block(heads, "r", pool)))
+    true = scores[row, col]
+    if kind == "edges":  # exact ties at T > 0, and the zero plateau, are met
+        tied = want & (scores[row] == true[:, None])
+        tied[np.arange(len(row)), col] = False
+        assert (tied & (true < 0)[:, None]).sum(1).max() >= 3
+        assert ((true == 0) & (want.sum(1) > 3)).any()
+
+
+@pytest.mark.parametrize("dim", [1, 5, 8, 9, 16, 25, 33, 100])
+def test_band_recompute_equals_block_bitwise(dim):
+    fn, heads, pool, row, col = screen_instance("random", dim, dim)
+    moved, rh, centers, rt = fn._gather(heads, "r", pool)
+    rng = np.random.default_rng(dim)
+    g, j = rng.integers(0, len(heads), 200), rng.integers(0, len(pool), 200)
+    got = -np.maximum(0.0, evaluation._args(moved[g], rh[g], centers[j], rt[j], fn.gamma))
+    want = np.vstack(list(fn.block(heads, "r", pool)))[g, j]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def special_split(case):
+    """A split over block_tables(n=12) with Top (C0) or a non-finite center row among
+    the heads, the true tails and the pool."""
+    e, names, rels = block_tables(np.random.default_rng(3), n=12)
+    if case == "nan center":
+        e.class_centers[4, 2] = np.nan
+    elif case == "inf center":
+        e.class_centers[4] = np.inf
+        e.class_centers[5, 0] = -np.inf
+    heads = ["C0", "C1", "C4", "C5", "C6"] if case != "top tail" else ["C1", "C4", "C6"]
+    pool = [f"C{i}" for i in range(12)] if case != "top head" else [f"C{i}" for i in range(1, 12)]
+    test = [(h, "r", t) for h in heads for t in ("C0", "C4", "C5", "C7") if t in pool]
+    fn = embedding_score_fn(e, names, rels, gamma=0.05)
+    return LinkSplit(train=[("C1", "r", "C7")], test=test, candidates={"r": pool}), fn
+
+
+@pytest.mark.parametrize("case", ["top head", "top tail", "top both", "nan center", "inf center"])
+def test_top_and_non_finite_rows_rank_as_exact_scores(case):
+    split, fn = special_split(case)
+
+    def report(score_fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return ranking_report(split, score_fn), {(w.category, str(w.message)) for w in caught}
+
+    exact, exact_warnings = report(lambda h, r, t: fn(h, r, t))  # stacked exact rows
+    screened, screened_warnings = report(fn)
+    assert screened == exact
+    assert screened_warnings <= exact_warnings
+
+
+def test_screen_equals_exact_comparisons_on_a_threaded_blas_size():
+    # a product this size runs on several threads when the BLAS has them
+    rng = np.random.default_rng(7)
+    n, dim = 2001, 25
+    e = embed(rng.normal(0, 1, (n, dim)), rng.uniform(0, 1.5, n), rng.normal(0, 1, (1, dim)))
+    fn = embedding_score_fn(e, {f"C{i}": i for i in range(n)}, {"r": 0}, gamma=0.1)
+    heads, pool = [f"C{i}" for i in range(1, 401)], [f"C{i}" for i in range(1, n)]
+    row, col = np.arange(len(heads)), rng.integers(0, len(pool), len(heads))
+    assert np.array_equal(screened_ahead(fn, heads, pool, row, col), exact_ahead(fn, heads, pool, row, col))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elball import cli
+from elball import cli, semsim
 from elball.evaluation import LinkSplit, ranking_report
 from elball.semsim import (
     SemSimError,
@@ -221,6 +221,32 @@ def test_score_fn_equals_scalar_bma_bitwise(seed, measure):
     tails = [tails[i] for i in np.random.default_rng(seed).permutation(len(tails))]
     for head in entities + ["ghost"]:
         assert_scores_are_exact(index, measure, head, tails, fn(head, "interacts", tails))
+
+
+def compensated_sum(values, start=0):
+    """Neumaier summation with CPython 3.12's rule for the correction: the
+    float ``sum`` of Python 3.12 and later, here on any version."""
+    total, correction = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            correction += (total - t) + x
+        else:
+            correction += (x - t) + total
+        total = t
+    return total + correction if correction and math.isfinite(correction) else total
+
+
+def test_compensated_sum_differs_from_left_to_right():
+    assert compensated_sum([0.1] * 10) == 1.0 != 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1
+
+
+@pytest.mark.parametrize("measure", ["resnik", "lin"])
+@pytest.mark.parametrize("seed", range(8))
+def test_scalar_bma_does_not_depend_on_the_builtin_sum(seed, measure, monkeypatch):
+    # the reference adds in the array scorer's order on every Python version
+    monkeypatch.setattr(semsim, "sum", compensated_sum, raising=False)
+    test_score_fn_equals_scalar_bma_bitwise(seed, measure)
 
 
 @pytest.mark.parametrize("measure", ["resnik", "lin"])
