@@ -16,7 +16,7 @@ from .embeddings import EmbeddingSet, TOP_RADIUS
 from .evaluation import EvaluationError, embedding_score_fn, ranking_report
 from .geometry import GeometryError, check_model
 from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
-from .ontology import TOP_ID, OntologyError, format_ontology, parse_ontology
+from .ontology import TOP_ID, OntologyError, format_ontology, is_name, parse_ontology
 from .trainer import NEG_MODES, TrainConfig, TrainingError, train
 
 # errors in what the user passed in, reported by ``run`` as one line and status 2
@@ -143,6 +143,12 @@ def cmd_ingest(args) -> int:
         args.annotations,
         **_given(args, ("min_confidence", "seed", "relation", "symmetric")),
     )
+    # classes 0 and 1 are Top and Bot, which the format writes as keywords
+    symbols = {"class": list(onto.classes)[2:], "relation": onto.relations, "individual": onto.individuals}
+    for kind, names in symbols.items():
+        bad = next((name for name in names if not is_name(name)), None)
+        if bad is not None:
+            raise dataio.DataError(f"{kind} {bad!r} is not a name the ontology format can hold")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ontology.el").write_text(format_ontology(onto))

@@ -285,8 +285,11 @@ def build_dataset(
     kept as (min, max), which after splitting becomes two directed
     triples/axioms. Otherwise each row keeps its direction and only exact
     repeats are dropped. Only the train portion of the interactions becomes
-    axioms; annotations always do, through ``FUNCTION_RELATION``.
+    axioms; annotations always do, through ``FUNCTION_RELATION``, which
+    ``relation`` therefore may not be.
     """
+    if relation == FUNCTION_RELATION:
+        raise DataError(f"relation {relation!r} is the annotation relation; give the interactions another")
     if math.isnan(min_confidence):
         raise DataError(f"min_confidence must be a number, not {min_confidence!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

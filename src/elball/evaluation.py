@@ -24,6 +24,10 @@ Triple = tuple[Hashable, Hashable, Hashable]
 ScoreFn = Callable[[Hashable, Hashable, Sequence[Hashable]], np.ndarray]
 
 _BLOCK = 1 << 16  # float64 elements in one score, difference or product block, 512 kB
+# heads in one screen product at least: over fewer, packing the pool costs more than the
+# product, so a pool wider than _WIDE_POOL takes _SCREEN_HEADS heads a block
+_SCREEN_HEADS = 16
+_WIDE_POOL = _BLOCK // _SCREEN_HEADS
 _SCREENED = 1e100  # a row holding a larger or non-finite entry (Top's radius) is not screened
 
 
@@ -53,7 +57,8 @@ def _screen(m, r_h, c, r_t, gamma, row: np.ndarray):
     """(start, stop, x = a'[row[start:stop]], E) per run of the sorted head rows ``row``; x is reused.
 
     a' = sqrt(max(s, 0)) - r_t, s = ||m||² - 2m·c + ||c||² from one matrix product
-    (norms as extra columns) per block of at most ``_BLOCK`` head×pool elements.
+    (norms as extra columns) per block of at most ``_BLOCK`` head×pool elements, or
+    of ``_SCREEN_HEADS`` heads of a pool wider than ``_WIDE_POOL``.
     E, the block's largest E_h = 2 sqrt((n + 4)u) S_h, S_h = ||m_h|| + C + |r_h| + R
     + |gamma| (u = 2^-53, n the dimension, C, R the largest ||c_t||, |r_t|), bounds
     |fl(a' - (T + r_h + gamma)) - (a - T)| for the ``_args`` float a, T in [0, 2 S_h]:
@@ -67,7 +72,7 @@ def _screen(m, r_h, c, r_t, gamma, row: np.ndarray):
     rhs = np.column_stack([c, cc, np.ones(len(c))]).T
     bound = np.sqrt(mm) + np.sqrt(cc.max()) + np.abs(r_h) + np.fmax.reduce(np.abs(r_t)) + abs(gamma)
     bound *= 2.0 * math.sqrt((m.shape[1] + 4) * 2.0**-53)
-    step = max(1, _BLOCK // len(c))
+    step = _SCREEN_HEADS if len(c) > _WIDE_POOL else max(1, _BLOCK // len(c))
     buf = np.empty((2, step, len(c)))  # a block's a', and the rows of one run of it
     for top in range(0, len(m), step):
         a = np.matmul(lhs[top : top + step], rhs, out=buf[0, : len(lhs[top : top + step])])

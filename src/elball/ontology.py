@@ -9,8 +9,9 @@ Concrete syntax, one axiom per line:
     {john} : Father                 # class assertion
 
 ``some`` binds tighter than ``and``; ``and`` is left-associative;
-parentheses are accepted. ``#`` starts a comment at line start or after
-whitespace (so fresh names like ``N#0`` survive a round trip).
+parentheses are accepted. A name starts with an ASCII letter, digit or
+``_`` and goes on with those and ``# . - :`` (``9606.ENSP23``, ``GO:0005575``).
+``#`` starts a comment where it does not continue a name, such as ``N#0``.
 
 Concept nodes are immutable and compare by value, so one node may be
 shared between axioms: ``parse_ontology`` builds one ``Atomic`` per class
@@ -190,137 +191,133 @@ class Ontology:
 # --- parser --------------------------------------------------------------
 
 _KEYWORDS = frozenset({"and", "some", TOP_NAME, BOT_NAME})
-# After blanks: a name, a punctuation mark, a comment, or any other character,
-# which is an error. That last group excludes blanks, so trailing blanks match
-# nothing rather than read as an unexpected character.
-_TOKEN = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_#.\-]*)|([<(){}:,])|(#)|([^ \t]))")
+_END = None  # the token after a line's last
+# punctuation, an unexpected character (read as "", which no rule accepts), the end
+_MARKS = frozenset(("<", "(", ")", "{", "}", ":", ",", "", _END))
+_NOT_NAME = _MARKS | _KEYWORDS
+_NOT_CONCEPT = _NOT_NAME - {"(", "{", TOP_NAME, BOT_NAME}
+_NAME = r"[A-Za-z0-9_][A-Za-z0-9_#.:\-]*"
+# A name, a punctuation mark, a comment (a '#' that does not continue a name,
+# to the end of the text), or any other non-blank character, read as "".
+_TOKEN = re.compile(rf"({_NAME}|[<(){{}}:,]|#.*)|[^ \t]", re.DOTALL)
 
 
-def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
-    """Return (kind, value, column) triples; kind is 'ident' or the punct char."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        ident, punct, comment, other = match.groups()
-        col = match.start(match.lastindex) + 1
-        if comment:  # '#' inside an identifier is part of the name
-            break
-        if other:
-            raise ParseError(f"unexpected character {other!r}", lineno, col)
-        tokens.append(("ident", ident, col) if ident else (punct, punct, col))
-    return tokens
+class _Syntax(Exception):
+    """(message, index): a grammar error at token ``index`` of a line."""
 
 
-class _LineParser:
-    def __init__(
-        self, tokens: list[tuple[str, str, int]], lineno: int, onto: Ontology, atomics: dict[str, Atomic]
-    ):
-        # two end tokens, so peek(1) stays in range; errors there point at the last token
-        self.tokens = tokens + [("end", "", tokens[-1][2])] * 2
-        self.pos = 0
-        self.lineno = lineno
-        self.onto = onto
-        self.atomics = atomics  # class name -> the one Atomic node of the parse call
+class _Parser:
+    """Recursive descent over one line's tokens at a time, ``_END`` appended,
+    read at index ``i``; one per parse call, raising ``_Syntax``. (Closures that
+    call each other would be a reference cycle, keeping ``onto`` alive.)"""
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[self.pos + ahead]
+    __slots__ = ("onto", "atomics", "toks", "i")
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] == "end":
-            raise ParseError("unexpected end of line", self.lineno, tok[2])
-        self.pos += 1
+    def __init__(self, onto: Ontology):
+        self.onto, self.toks, self.i = onto, [], 0
+        self.atomics: dict[str, Atomic] = {}  # class name -> the one Atomic node of the call
+
+    def fail(self, what: str):
+        tok = self.toks[self.i]
+        raise _Syntax("unexpected end of line" if tok is _END else f"expected {what}, found {tok!r}", self.i)
+
+    def take(self, mark: str | None = None) -> str:
+        """The token at i, which must be ``mark`` (a name if None); moves i past it."""
+        tok = self.toks[self.i]
+        if (tok in _NOT_NAME) if mark is None else (tok != mark):
+            self.fail("a name" if mark is None else repr(mark))
+        self.i += 1
         return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.lineno, tok[2])
-        return tok
-
-    def expect_ident(self) -> tuple[str, int]:
-        tok = self.next()
-        if tok[0] != "ident" or tok[1] in _KEYWORDS:
-            raise ParseError(f"expected a name, found {tok[1]!r}", self.lineno, tok[2])
-        return tok[1], tok[2]
-
-    def parse_axiom(self) -> Axiom:
-        try:
-            return self._parse_axiom()
-        except RecursionError:
-            raise ParseError("concept nested too deeply", self.lineno, self.peek()[2]) from None
 
     # axiom := concept "<" concept | IDENT "(" IDENT "," IDENT ")"
     #        | "{" IDENT "}" ":" concept
-    def _parse_axiom(self) -> Axiom:
-        if self.peek()[0] == "ident" and self.peek(1)[0] == "(":
-            axiom = self._parse_role_assertion()
-        else:
-            lhs = self.parse_concept()
-            tok = self.next()
-            if tok[0] == "<":
-                rhs = self.parse_concept()
-                axiom = GCI(lhs, rhs)
-            elif tok[0] == ":":
-                if not isinstance(lhs, Nominal):
-                    raise ParseError(
-                        "class assertion requires a '{name}' subject", self.lineno, tok[2]
-                    )
-                concept = self.parse_concept()
-                axiom = Instantiation(concept, lhs.individual)
+    def axiom(self, toks: list) -> Axiom:
+        self.toks, self.i = toks, 0
+        try:
+            if toks[1] == "(" and toks[0] not in _MARKS:
+                take, individual = self.take, self.onto.individuals.intern
+                rel, _, subj, _, obj, _ = take(), take("("), take(), take(","), take(), take(")")
+                result = RoleAssertion(self.onto.relations.intern(rel), individual(subj), individual(obj))
             else:
-                raise ParseError(f"expected '<' or ':', found {tok[1]!r}", self.lineno, tok[2])
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", self.lineno, tok[2])
-        return axiom
-
-    def _parse_role_assertion(self) -> RoleAssertion:
-        rel_name, _ = self.expect_ident()
-        self.expect("(")
-        subj, _ = self.expect_ident()
-        self.expect(",")
-        obj, _ = self.expect_ident()
-        self.expect(")")
-        return RoleAssertion(
-            self.onto.relations.intern(rel_name),
-            self.onto.individuals.intern(subj),
-            self.onto.individuals.intern(obj),
-        )
+                lhs = self.concept()
+                if toks[self.i] == "<":
+                    self.i += 1
+                    result = GCI(lhs, self.concept())
+                elif toks[self.i] == ":":
+                    if not isinstance(lhs, Nominal):
+                        raise _Syntax("class assertion requires a '{name}' subject", self.i)
+                    self.i += 1
+                    result = Instantiation(self.concept(), lhs.individual)
+                else:
+                    self.fail("'<' or ':'")
+        except RecursionError:
+            raise _Syntax("concept nested too deeply", self.i) from None
+        if toks[self.i] is not _END:
+            raise _Syntax(f"trailing input {toks[self.i]!r}", self.i)
+        return result
 
     # concept := prim ("and" prim)*   left-associative
-    def parse_concept(self) -> Concept:
-        concept = self.parse_prim()
-        while self.peek()[:2] == ("ident", "and"):
-            self.next()
-            concept = Conjunction(concept, self.parse_prim())
-        return concept
+    def concept(self) -> Concept:
+        node = self.prim()
+        while self.toks[self.i] == "and":
+            self.i += 1
+            node = Conjunction(node, self.prim())
+        return node
 
     # prim := "(" concept ")" | "{" IDENT "}" | "Top" | "Bot"
     #       | IDENT ["some" prim]
-    def parse_prim(self) -> Concept:
-        tok = self.next()
-        if tok[0] == "(":
-            inner = self.parse_concept()
-            self.expect(")")
-            return inner
-        if tok[0] == "{":
-            name, _ = self.expect_ident()
-            self.expect("}")
+    def prim(self) -> Concept:
+        tok = self.toks[self.i]
+        if tok in _NOT_CONCEPT:
+            self.fail("a concept")
+        self.i += 1
+        if tok == "(":
+            node = self.concept()
+            self.take(")")
+            return node
+        if tok == "{":
+            name = self.take()
+            self.take("}")
             return Nominal(self.onto.individuals.intern(name))
-        if tok[0] != "ident" or tok[1] in ("and", "some"):
-            raise ParseError(f"expected a concept, found {tok[1]!r}", self.lineno, tok[2])
-        if tok[1] == TOP_NAME:
+        if tok == TOP_NAME:
             return TOP
-        if tok[1] == BOT_NAME:
+        if tok == BOT_NAME:
             return BOT
-        if self.peek()[:2] == ("ident", "some"):
-            self.next()
-            filler = self.parse_prim()
-            return Existential(self.onto.relations.intern(tok[1]), filler)
-        node = self.atomics.get(tok[1])
+        if self.toks[self.i] == "some":
+            self.i += 1
+            filler = self.prim()
+            return Existential(self.onto.relations.intern(tok), filler)
+        node = self.atomics.get(tok)
         if node is None:
-            node = self.atomics[tok[1]] = Atomic(self.onto.classes.intern(tok[1]))
+            node = self.atomics[tok] = Atomic(self.onto.classes.intern(tok))
         return node
+
+
+def _parse(lines: list[str], onto: Ontology, axioms: list, positions: list) -> None:
+    """Append the axiom and (line, column) of each line with more than blanks and a
+    comment. A line's first unexpected character before any comment is its error,
+    else its grammar error; only then are its columns worked out, by a second scan."""
+    axiom = _Parser(onto).axiom
+    for lineno, line in enumerate(lines, start=1):
+        toks = _TOKEN.findall(line)
+        if toks and toks[-1][:1] == "#":
+            toks.pop()
+        if not toks:
+            continue
+        toks.append(_END)
+        try:
+            axioms.append(axiom(toks))
+            positions.append((lineno, len(line) - len(line.lstrip(" \t")) + 1))
+        except _Syntax as exc:
+            columns = []
+            for match in _TOKEN.finditer(line):
+                if match[1] is None:
+                    raise ParseError(f"unexpected character {match[0]!r}", lineno, match.start() + 1) from None
+                if match[1][0] == "#":
+                    break
+                columns.append(match.start() + 1)
+            message, j = exc.args
+            raise ParseError(message, lineno, columns[min(j, len(columns) - 1)]) from None
 
 
 def parse_ontology(text: str, onto: Ontology | None = None) -> Ontology:
@@ -332,23 +329,23 @@ def parse_ontology(text: str, onto: Ontology | None = None) -> Ontology:
     character.
     """
     onto = onto if onto is not None else Ontology()
-    atomics: dict[str, Atomic] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = _tokenize(line.removesuffix("\r"), lineno)
-        if not tokens:
-            continue
-        parser = _LineParser(tokens, lineno, onto, atomics)
-        axiom = parser.parse_axiom()
-        onto.add(axiom, (lineno, tokens[0][2]))
+    lines = text.replace("\r\n", "\n").removesuffix("\r").split("\n")
+    _parse(lines, onto, onto.axioms, onto.positions)
     return onto
 
 
 def parse_axiom(text: str, onto: Ontology) -> Axiom:
     """Parse a single axiom line against an existing ontology's vocabularies."""
-    tokens = _tokenize(text, 1)
-    if not tokens:
+    axioms: list[Axiom] = []
+    _parse([text], onto, axioms, [])
+    if not axioms:
         raise ParseError("empty axiom", 1, 1)
-    return _LineParser(tokens, 1, onto, {}).parse_axiom()
+    return axioms[0]
+
+
+def is_name(text: str) -> bool:
+    """Whether ``text`` can stand for a class, relation or individual in the text format."""
+    return re.fullmatch(_NAME, text) is not None and text not in _KEYWORDS
 
 
 # --- printer -------------------------------------------------------------

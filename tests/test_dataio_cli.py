@@ -351,6 +351,24 @@ class TestTsvParsing:
             build_dataset(rows, [("P1", "F")])
         assert str(info.value) == "pair_rows[0] ('P1', 'P2') has a NaN confidence"
 
+    def test_build_dataset_refuses_the_annotation_relation(self):
+        # interactions through hasFunction would read as annotations
+        with pytest.raises(DataError) as info:
+            build_dataset([("P1", "P2", 900.0)], [("P1", "F")], relation="hasFunction")
+        assert str(info.value) == "relation 'hasFunction' is the annotation relation; give the interactions another"
+
+    def test_string_and_go_names_round_trip_through_the_text_format(self):
+        rows = [(f"9606.ENSP{i}", f"9606.ENSP{(i + 1) % 6}", 900.0) for i in range(6)]
+        annots = [(f"9606.ENSP{i}", f"GO:000557{i % 2}") for i in range(6)]
+        onto, _ = build_dataset(rows, annots, seed=1)
+        text = format_ontology(onto)
+        assert "{9606.ENSP0} < hasFunction some GO:0005570" in text.splitlines()
+        reparsed = parse_ontology(text)
+        assert reparsed.axioms == onto.axioms
+        assert [list(v) for v in (reparsed.classes, reparsed.relations, reparsed.individuals)] == [
+            list(v) for v in (onto.classes, onto.relations, onto.individuals)
+        ]
+
     def test_split_skips_blank_and_comment_lines(self, tmp_path):
         (tmp_path / "test.tsv").write_text("# comment\nP1\tinteracts\tP2\n\n")
         assert dataio.read_split(tmp_path).test == [("P1", "interacts", "P2")]
@@ -790,6 +808,41 @@ def test_console_exit_status_tells_bad_input_from_a_violated_model(
         assert done.returncode == 2
         assert done.stderr.splitlines() == [f"elball: {message}"]
     assert not (tmp_path / "data").exists()
+
+
+def test_console_ingest_writes_an_ontology_that_normalize_and_train_read(tmp_path):
+    pairs, annots = tmp_path / "pairs.tsv", tmp_path / "annots.tsv"
+    pairs.write_text("".join(f"9606.ENSP{i:05}\t9606.ENSP{(i + 1) % 10:05}\t900\n" for i in range(10)))
+    annots.write_text("".join(f"9606.ENSP{i:05}\tGO:000{5575 + i % 3}\n" for i in range(10)))
+    data = tmp_path / "data"
+    done = run_console("ingest", "--pairs", str(pairs), "--annotations", str(annots), "--out-dir", str(data))
+    assert done.returncode == 0, done.stderr
+    assert "{9606.ENSP00000} < hasFunction some GO:0005575" in (data / "ontology.el").read_text()
+    done = run_console("normalize", str(data / "ontology.el"), "--out", str(tmp_path / "nf.txt"))
+    assert done.returncode == 0, done.stderr
+    done = run_console("train", "--theory", str(data / "ontology.el"), "--epochs", "1",
+                       "--out", str(tmp_path / "ckpt.json"))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("pairs_text, annots_text, flags, message", [
+    ("P1\tP2\t900\n", "P 2\tF\n", [], "individual 'P 2' is not a name the ontology format can hold"),
+    ("P1\tP2\t900\n", "P2\t{F}\n", [], "class '{F}' is not a name the ontology format can hold"),
+    ("P1\tP2\t900\n", "P2\tF\n", ["--relation", "binds to"],
+     "relation 'binds to' is not a name the ontology format can hold"),
+    ("P1\tP2\t900\n", "and\tF\n", [], "individual 'and' is not a name the ontology format can hold"),
+    ("P1\tP2\t900\n", "P2\tF\n", ["--relation", "hasFunction"],
+     "relation 'hasFunction' is the annotation relation; give the interactions another"),
+], ids=["blank", "brace", "relation", "keyword", "annotation-relation"])
+def test_ingest_refuses_what_the_ontology_format_cannot_hold(
+    tmp_path, capsys, pairs_text, annots_text, flags, message
+):
+    pairs, annots, data = tmp_path / "pairs.tsv", tmp_path / "annots.tsv", tmp_path / "data"
+    pairs.write_text(pairs_text)
+    annots.write_text(annots_text)
+    argv = ["ingest", "--pairs", str(pairs), "--annotations", str(annots), *flags, "--out-dir", str(data)]
+    assert run_in_process(capsys, *argv) == (2, [f"elball: {message}"])
+    assert not data.exists()
 
 
 def test_check_json_summarizes_each_form(family_file, tmp_path):

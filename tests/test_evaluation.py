@@ -669,6 +669,19 @@ def test_top_and_non_finite_rows_rank_as_exact_scores(case):
     assert screened_warnings <= exact_warnings
 
 
+def test_screen_takes_several_heads_of_a_wide_pool():
+    rng = np.random.default_rng(8)
+    n, dim = evaluation._WIDE_POOL + 2, 9
+    e = embed(rng.normal(0, 1, (n, dim)), rng.uniform(0, 1.5, n), rng.normal(0, 1, (1, dim)))
+    fn = embedding_score_fn(e, {f"C{i}": i for i in range(n)}, {"r": 0}, gamma=0.1)
+    heads, pool = [f"C{i}" for i in range(1, 41)], [f"C{i}" for i in range(1, n)]
+    row, col = np.arange(len(heads)), rng.integers(0, len(pool), len(heads))
+    moved, rh, centers, rt = fn._gather(heads, "r", pool)
+    blocks = {len(a) for _, _, a, _ in evaluation._screen(moved, rh, centers, rt, fn.gamma, row)}
+    assert blocks == {evaluation._SCREEN_HEADS, len(heads) % evaluation._SCREEN_HEADS}
+    assert np.array_equal(screened_ahead(fn, heads, pool, row, col), exact_ahead(fn, heads, pool, row, col))
+
+
 def test_screen_equals_exact_comparisons_on_a_threaded_blas_size():
     # a product this size runs on several threads when the BLAS has them
     rng = np.random.default_rng(7)

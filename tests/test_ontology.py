@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,6 +135,18 @@ def test_one_atomic_node_per_class_within_a_parse_call():
     assert len(atomic_nodes([line.sub, line.sup])[onto.classes.id("A")]) == 1
 
 
+def test_a_parsed_ontology_is_freed_with_its_last_reference():
+    # not at the next full collection, as a reference cycle through it would have it
+    gc.disable()
+    try:
+        onto = parse_ontology("A < B\nr(a, b)\n{a} : r some (A and B)\n")
+        ref = weakref.ref(onto)
+        del onto
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_positions_recorded():
     onto = parse_ontology("A < B\n\nC < D\n")
     assert [line for line, _ in onto.positions] == [1, 3]
@@ -152,7 +167,7 @@ def test_syntax_errors_have_positions(bad):
 PARSE_ERRORS = [
     pytest.param("A < é", 1, 5, "unexpected character 'é'", id="non-ascii-letter"),
     pytest.param("A <\x0bB", 1, 4, "unexpected character '\\x0b'", id="vertical-tab"),
-    pytest.param("9A < B", 1, 1, "unexpected character '9'", id="leading-digit"),
+    pytest.param("A < :B", 1, 5, "expected a concept, found ':'", id="leading-colon"),
     pytest.param("A < -B", 1, 5, "unexpected character '-'", id="leading-hyphen"),
     pytest.param("A ? B", 1, 3, "unexpected character '?'", id="question-mark"),
     pytest.param("A <  ", 1, 3, "unexpected end of line", id="end-after-lt"),
@@ -218,18 +233,22 @@ def test_format_simple_roundtrip():
 
 # --- random round-trip property -----------------------------------------
 
+# names with a leading digit or a ':' as in STRING protein IDs and GO classes
+_CLASSES = ("A", "B", "C", "D", "GO:0005575", "4D")
+_RELATIONS = ("r", "s", "part:of")
+_INDIVIDUALS = ("a", "b", "9606.ENSP23", "0")
 _onto = Ontology()
-for _name in ("A", "B", "C", "D"):
+for _name in _CLASSES:
     _onto.classes.intern(_name)
-for _name in ("r", "s"):
+for _name in _RELATIONS:
     _onto.relations.intern(_name)
-for _name in ("a", "b"):
+for _name in _INDIVIDUALS:
     _onto.individuals.intern(_name)
 
 _atoms = st.sampled_from(
-    [Atomic(_onto.classes.id(n)) for n in ("A", "B", "C", "D")]
+    [Atomic(_onto.classes.id(n)) for n in _CLASSES]
     + [TOP, BOT]
-    + [Nominal(_onto.individuals.id(n)) for n in ("a", "b")]
+    + [Nominal(_onto.individuals.id(n)) for n in _INDIVIDUALS]
 )
 
 
@@ -242,7 +261,7 @@ def _concepts(depth):
         st.builds(Conjunction, sub, sub),
         st.builds(
             Existential,
-            st.sampled_from([_onto.relations.id("r"), _onto.relations.id("s")]),
+            st.sampled_from([_onto.relations.id(n) for n in _RELATIONS]),
             sub,
         ),
     )
@@ -253,13 +272,13 @@ _axioms = st.one_of(
     st.builds(
         Instantiation,
         _concepts(3),
-        st.sampled_from([_onto.individuals.id("a"), _onto.individuals.id("b")]),
+        st.sampled_from([_onto.individuals.id(n) for n in _INDIVIDUALS]),
     ),
     st.builds(
         RoleAssertion,
-        st.sampled_from([_onto.relations.id("r")]),
-        st.sampled_from([_onto.individuals.id("a")]),
-        st.sampled_from([_onto.individuals.id("b")]),
+        st.sampled_from([_onto.relations.id(n) for n in _RELATIONS]),
+        st.sampled_from([_onto.individuals.id(n) for n in _INDIVIDUALS]),
+        st.sampled_from([_onto.individuals.id(n) for n in _INDIVIDUALS]),
     ),
 )
 
