@@ -141,7 +141,8 @@ class ModelReport:
     ``overall``, ``max_violation`` and ``forms`` read the arrays; ``forms``
     formats one row per form. ``checks`` builds one AxiomCheck, text
     included, per axiom on first access. ``axioms`` keeps the bucket
-    entries as the theory held them; AxiomCheck.axiom shares those tuples,
+    entries as the theory held them, in the list that ``handles`` was
+    converted from (shared, so not to be changed); AxiomCheck.axiom shares those tuples,
     so that building ``checks`` allocates (and garbage-collects) no tuple
     per row.
     """
@@ -264,7 +265,7 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
     names = theory.names()
     handles, violations, axioms = {}, {}, {}
     for form in NormalForm:
-        rows = theory.handles(form)
+        entries, rows = theory._converted(form)
         ok = np.ones(len(rows), dtype=bool)
         for kind, col in zip(form.kinds, rows.T):
             bad = col >= len(finite[kind])
@@ -274,5 +275,5 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
             ok &= finite[kind][col]
         v = [_violations(form, rows[i : i + _BLOCK], e) for i in range(0, len(rows), _BLOCK)]
         handles[form], violations[form] = rows, np.where(ok, np.concatenate(v or [[]]), math.inf)
-        axioms[form] = list(getattr(theory, form.field))
+        axioms[form] = entries
     return ModelReport(tol, handles, violations, names, axioms)

@@ -31,6 +31,7 @@ it receives zero gradient.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +49,12 @@ def _rows(entries, width: int) -> np.ndarray:
     return np.asarray(entries, dtype=np.intp).reshape((-1, width) if width > 1 else -1)
 
 
-def _empty(width: int) -> np.ndarray:
-    rows = _rows((), width)
-    rows.flags.writeable = False
-    return rows
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-_EMPTY = {width: _empty(width) for width in (1, 2, 3)}  # shared by every batch
+_EMPTY = {width: _frozen(_rows((), width)) for width in (1, 2, 3)}  # shared by every batch
 
 
 @dataclass
@@ -224,8 +224,30 @@ def _plan(sizes: tuple) -> _Plan:
     )
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+            _frozen(value)
     return plan
+
+
+# values of a batch's shape, cached beside its plan
+
+
+@functools.lru_cache(maxsize=64)
+def _limits(sizes: tuple, n_classes: int, n_relations: int) -> np.ndarray:
+    """Each handle's table size in a batch of ``sizes``, as the unsigned bound it must stay under."""
+    return _frozen(np.where(_plan(sizes).is_rel, np.uintp(n_relations), np.uintp(n_classes)))
+
+
+@functools.lru_cache(maxsize=64)
+def _shifts(sizes: tuple, gamma: float, sign: float) -> np.ndarray:
+    """Each row's ``s * gamma`` in a batch of ``sizes``. ``sign``, gamma's, is
+    only part of the key: 0.0 and -0.0 are one key but shift -0.0 differently."""
+    return _frozen(_plan(sizes).s * gamma)
+
+
+@functools.lru_cache(maxsize=64)
+def _lanes(rows: int, dim: int) -> np.ndarray:
+    """0, 1, ..., dim - 1 once per row: the offsets of a row's flat positions from its first."""
+    return _frozen(np.tile(np.arange(dim), rows))
 
 
 def _scratch(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -258,11 +280,11 @@ def _forward(batch: LossBatch, e: EmbeddingSet):
                 f"LossBatch bucket {name} has rows of shape {rows.shape[1:]}, "
                 f"not its normal form's width {width}"
             )
-    plan = _plan(tuple(len(b) for b in buckets))
+    sizes = tuple(len(b) for b in buckets)
+    plan = _plan(sizes)
     handles = np.concatenate([b.ravel() for b in buckets if len(b)] or [_EMPTY[1]], dtype=np.intp)
     # a negative handle reads as a huge unsigned one
-    limit = np.where(plan.is_rel, np.uintp(e.n_relations), np.uintp(e.n_classes))
-    bad = handles.view(np.uintp) >= limit
+    bad = handles.view(np.uintp) >= _limits(sizes, e.n_classes, e.n_relations)
     if bad.any():
         i = int(bad.argmax())
         kind, n = ("relation", e.n_relations) if plan.is_rel[i] else ("class", e.n_classes)
@@ -293,7 +315,7 @@ def _forward(batch: LossBatch, e: EmbeddingSet):
     arg *= plan.s
     arg += kr[:n]
     arg += kr[n:]
-    arg -= plan.s * batch.gamma
+    arg -= _shifts(sizes, batch.gamma, math.copysign(1.0, batch.gamma))
     return plan, abr, h, y, norm, arg
 
 
@@ -340,7 +362,7 @@ def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
     first = abr * dim  # each scattered row's first flat position
     first[2 * nu :] += nc * dim + nc
     idx = _scratch(batch.work, "idx", weights.shape, np.intp)
-    np.add(first[:, None], np.arange(dim), out=idx[: rows * dim].reshape(rows, dim))
+    np.add(np.repeat(first, dim), _lanes(rows, dim), out=idx[: rows * dim])
     np.add(h, nc * dim, out=idx[rows * dim :])
     flat = np.bincount(idx, weights, minlength=size)
     flat[e.top * dim : (e.top + 1) * dim] = 0.0

@@ -81,6 +81,9 @@ class NormalizedTheory:
 
     An entry holds its form's operand handles in ``NormalForm.kinds`` order,
     e.g. (r, C, D) for NF4's r some C < D; a Bot1 entry is the bare class.
+    Entries are immutable (tuples, a bare int for Bot1): ``handles`` converts
+    a bucket once and reuses the array while the bucket equals its copy of
+    the entries; ``names`` reuses its arrays until a vocabulary grows.
     """
 
     classes: Vocabulary
@@ -93,21 +96,50 @@ class NormalizedTheory:
     bot2: list[tuple[int, int]] = field(default_factory=list)
     bot4: list[tuple[int, int]] = field(default_factory=list)
     fresh: set[int] = field(default_factory=set)
+    # per form, a copy of its bucket and that copy's handle array; under
+    # "names", the vocabularies, their sizes and the name arrays
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # a copy or unpickled theory converts afresh: copied arrays would be writeable
+        return {**vars(self), "_memo": {}}
 
     def counts(self) -> dict[str, int]:
         return {form.value: len(getattr(self, form.field)) for form in NormalForm}
 
-    def handles(self, form: NormalForm) -> np.ndarray:
-        """The form's bucket as an array of handles, one row per axiom."""
+    def _converted(self, form: NormalForm) -> tuple[list, np.ndarray]:
+        """A copy of the form's bucket as last converted, and its ``handles``.
+        Both are shared with later calls, so neither may be changed."""
         entries = getattr(self, form.field)
-        width = len(form.kinds)
-        flat = entries if width == 1 else chain.from_iterable(entries)
-        return np.fromiter(flat, dtype=np.intp).reshape(len(entries), width)
+        memo = self._memo.get(form)
+        # list comparison tests each pair of entries for identity before
+        # equality: a pointer walk while the bucket holds the copy's objects
+        if memo is None or type(entries) is not list or memo[0] != entries:
+            width = len(form.kinds)
+            copy = list(entries)
+            flat = copy if width == 1 else chain.from_iterable(copy)
+            rows = np.fromiter(flat, dtype=np.intp)
+            rows.flags.writeable = False  # before reshaping: no view can turn it back on
+            memo = self._memo[form] = copy, rows.reshape(len(copy), width)
+        return memo
+
+    def handles(self, form: NormalForm) -> np.ndarray:
+        """The form's bucket as a read-only array of handles, one row per
+        axiom, converted once per bucket content."""
+        return self._converted(form)[1]
 
     def names(self) -> dict[str, np.ndarray]:
-        """Handle -> name arrays of the classes ("c") and relations ("r")."""
+        """Read-only handle -> name arrays of the classes ("c") and relations
+        ("r"), built again only when a vocabulary grows or is replaced."""
         vocabularies = (("c", self.classes), ("r", self.relations))
-        return {kind: np.array(list(v), dtype=object) for kind, v in vocabularies}
+        sizes = [(v, len(v)) for _, v in vocabularies]
+        memo = self._memo.get("names")
+        if memo is None or memo[0] != sizes:
+            names = {kind: np.array(list(v), dtype=object) for kind, v in vocabularies}
+            for array in names.values():
+                array.flags.writeable = False
+            memo = self._memo["names"] = sizes, names
+        return dict(memo[1])
 
     def n_axioms(self) -> int:
         return sum(self.counts().values())

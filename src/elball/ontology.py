@@ -9,7 +9,9 @@ Concrete syntax, one axiom per line:
     {john} : Father                 # class assertion
 
 ``some`` binds tighter than ``and``; ``and`` is left-associative;
-parentheses are accepted. A name starts with an ASCII letter, digit or
+parentheses are accepted. A concept lies in at most ``MAX_NESTING`` levels,
+each a ``(`` or a ``some``; a deeper one is a ParseError at the token that opens
+the level past it. A name starts with an ASCII letter, digit or
 ``_`` and goes on with those and ``# . - :`` (``9606.ENSP23``, ``GO:0005575``).
 ``#`` starts a comment where it does not continue a name, such as ``N#0``.
 
@@ -202,6 +204,11 @@ _NAME = r"[A-Za-z0-9_][A-Za-z0-9_#.:\-]*"
 _TOKEN = re.compile(rf"({_NAME}|[<(){{}}:,]|#.*)|[^ \t]", re.DOTALL)
 
 
+# Levels of "(" and "some" a concept may lie in. The parser takes one Python
+# frame per level, so this keeps the outcome independent of the caller's stack.
+MAX_NESTING = 512
+
+
 class _Syntax(Exception):
     """(message, index): a grammar error at token ``index`` of a line."""
 
@@ -250,47 +257,56 @@ class _Parser:
                     result = Instantiation(self.concept(), lhs.individual)
                 else:
                     self.fail("'<' or ':'")
-        except RecursionError:
+        except RecursionError:  # a caller already close to the recursion limit
             raise _Syntax("concept nested too deeply", self.i) from None
         if toks[self.i] is not _END:
             raise _Syntax(f"trailing input {toks[self.i]!r}", self.i)
         return result
 
     # concept := prim ("and" prim)*   left-associative
-    def concept(self) -> Concept:
-        node = self.prim()
-        while self.toks[self.i] == "and":
-            self.i += 1
-            node = Conjunction(node, self.prim())
-        return node
-
     # prim := "(" concept ")" | "{" IDENT "}" | "Top" | "Bot"
     #       | IDENT ["some" prim]
-    def prim(self) -> Concept:
-        tok = self.toks[self.i]
-        if tok in _NOT_CONCEPT:
-            self.fail("a concept")
-        self.i += 1
-        if tok == "(":
-            node = self.concept()
-            self.take(")")
-            return node
-        if tok == "{":
-            name = self.take()
-            self.take("}")
-            return Nominal(self.onto.individuals.intern(name))
-        if tok == TOP_NAME:
-            return TOP
-        if tok == BOT_NAME:
-            return BOT
-        if self.toks[self.i] == "some":
+    def concept(self, depth: int = 0, prim: bool = False) -> Concept:
+        """The concept at i, or only its first prim if ``prim``, inside
+        ``depth`` levels. Each "(" and "some" opens one level, parsed by one
+        call deeper, so a concept that fits MAX_NESTING fits the stack."""
+        node = None
+        while True:
+            tok = self.toks[self.i]
+            if tok in _NOT_CONCEPT:
+                self.fail("a concept")
             self.i += 1
-            filler = self.prim()
-            return Existential(self.onto.relations.intern(tok), filler)
-        node = self.atomics.get(tok)
-        if node is None:
-            node = self.atomics[tok] = Atomic(self.onto.classes.intern(tok))
-        return node
+            if tok == "(":
+                part = self.concept(self.deeper(depth, self.i - 1))
+                self.take(")")
+            elif tok == "{":
+                name = self.take()
+                self.take("}")
+                part = Nominal(self.onto.individuals.intern(name))
+            elif tok == TOP_NAME:
+                part = TOP
+            elif tok == BOT_NAME:
+                part = BOT
+            elif self.toks[self.i] == "some":
+                self.i += 1
+                filler = self.concept(self.deeper(depth, self.i - 1), prim=True)
+                part = Existential(self.onto.relations.intern(tok), filler)
+            else:
+                part = self.atomics.get(tok)
+                if part is None:
+                    part = self.atomics[tok] = Atomic(self.onto.classes.intern(tok))
+            node = part if node is None else Conjunction(node, part)
+            if prim or self.toks[self.i] != "and":
+                return node
+            self.i += 1
+
+    @staticmethod
+    def deeper(depth: int, index: int) -> int:
+        """``depth`` + 1 for the level that token ``index`` opens, unless it
+        exceeds MAX_NESTING."""
+        if depth == MAX_NESTING:
+            raise _Syntax("concept nested too deeply", index)
+        return depth + 1
 
 
 def _parse(lines: list[str], onto: Ontology, axioms: list, positions: list) -> None:

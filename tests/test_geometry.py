@@ -435,6 +435,25 @@ def test_check_model_writes_into_no_handle_block(monkeypatch):
     assert [c.violation for c in got.checks] == [c.violation for c in want.checks]
 
 
+def test_a_theory_converted_by_training_checks_as_a_fresh_one():
+    from elball.family import family_ontology
+    from elball.normalizer import eliminate_abox, normalize
+
+    warm, e = family_model()  # train converted its buckets
+    cold = normalize(eliminate_abox(family_ontology()))
+    for tol in (0.0, 0.1):
+        got, want = check_model(warm, e, tol), check_model(cold, e, tol)
+        for form in NormalForm:
+            assert got.violations[form].tobytes() == want.violations[form].tobytes(), form
+            assert got.axioms[form] == getattr(cold, form.field)
+        assert [c.to_dict() for c in got.checks] == [c.to_dict() for c in want.checks]
+    # a bucket changed after training is converted again
+    warm.nf1.append((warm.classes.id("Male"), warm.classes.id("Female")))
+    report = check_model(warm, e, 0.1)
+    assert report.forms["NF1"].count == len(warm.nf1) == len(cold.nf1) + 1
+    assert report.checks[len(cold.nf1)].text == "Male < Female"
+
+
 # --- the report's summary and its laziness -----------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import loss_reference as ref
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
-from elball.losses import LossBatch, MissingSymbolError, batch_gradient, batch_loss, bucket_losses
+from elball.losses import LossBatch, MissingSymbolError, _forward, batch_gradient, batch_loss, bucket_losses
 
 C, D, E = 2, 3, 4
 R = 0
@@ -574,3 +574,49 @@ class TestRadiusOnlyRowsAndWorkspace:
         partial = LossBatch(0.05, nf1=rows["nf1"])  # the other buckets are the shared empties
         batch_gradient(partial, self.e)
         bucket_losses(partial, self.e)
+
+
+# --- values cached per batch shape -------------------------------------------
+
+
+class TestShapeCaches:
+    """The handle bounds, the s * gamma shifts and the scatter offsets are
+    cached per batch shape; none may carry a value over to another call."""
+
+    def test_a_larger_table_leaves_no_stale_bound(self):
+        rows = {"nf1": np.array([[C, 5]]), "nf3": np.array([[C, 1, D]])}
+        big = embed(np.ones((8, 2)), np.full(8, 0.5), np.zeros((2, 2)))
+        batch_loss(LossBatch(0.0, **rows), big)  # in range on the larger tables
+        small_classes = embed(np.ones((5, 2)), np.full(5, 0.5), np.zeros((2, 2)))
+        with pytest.raises(MissingSymbolError, match="class handle 5 outside"):
+            batch_loss(LossBatch(0.0, **rows), small_classes)
+        small_relations = embed(np.ones((8, 2)), np.full(8, 0.5), np.zeros((1, 2)))
+        with pytest.raises(MissingSymbolError, match="relation handle 1 outside"):
+            batch_gradient(LossBatch(0.0, **rows), small_relations)
+
+    def test_gamma_shifts_every_hinged_argument(self):
+        batch, e = reference_setup(np.random.default_rng(5))
+        rows = {name: getattr(batch, name) for name in COLUMNS}
+        with np.errstate(over="ignore", invalid="ignore"):  # Top's sentinel radius
+            args = {g: _forward(LossBatch(g, **rows), e)[-1] for g in (0.0, 0.25, 0.0, -0.5)}
+            s = _forward(LossBatch(0.0, **rows), e)[0].s
+            assert (s != 0).any()
+            for g in (0.25, -0.5):
+                assert _close(args[g], args[0.0] - s * g)
+
+    def test_the_sign_of_a_zero_gamma_is_kept(self):
+        # coincident Bot2 operands of radius -0.0: the argument is -0.0 - s * gamma,
+        # which is 0.0 at gamma 0.0 and -0.0 at gamma -0.0
+        e = embed(np.ones((4, 2)), [0.0, 0.0, -0.0, -0.0])
+        rows = {"bot2": np.array([[C, D]])}
+        signs = [np.signbit(_forward(LossBatch(g, **rows), e)[-1][0]) for g in (0.0, -0.0, 0.0)]
+        assert signs == [False, True, False]
+
+    def test_one_batch_at_two_dims_scatters_each_dim(self):
+        batch, _ = reference_setup(np.random.default_rng(6))
+        for dim in (3, 2, 3, 5):
+            _, e = reference_setup(np.random.default_rng(6), dim=dim)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = batch_gradient(batch, e), ref.batch_gradient(batch, e)
+            for name in ("class_centers", "class_radii", "rel_vectors"):
+                assert _close(getattr(got, name), getattr(want, name)), (dim, name)

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -449,3 +451,85 @@ def test_normalization_preserves_subsumptions():
         assert before == after
         checked += 1
     assert checked >= 60
+
+
+# --- the converted buckets ---------------------------------------------------
+
+
+def converted_theory():
+    return normalize(parse_ontology("A < B\nA and B < C\nA < r some B\nr some A < C\nD < Bot\nB and C < Bot\nr some D < Bot"))
+
+
+def test_handles_are_converted_once_and_read_only():
+    theory = converted_theory()
+    for form in NormalForm:
+        rows = theory.handles(form)
+        assert theory.handles(form) is rows
+        assert rows.shape == (len(getattr(theory, form.field)), len(form.kinds))
+        with pytest.raises(ValueError, match="read-only"):
+            rows[:0] = 0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            rows.flags.writeable = True
+    names = theory.names()
+    assert all(theory.names()[k] is v for k, v in names.items())
+    assert not names["c"].flags.writeable
+
+
+@pytest.mark.parametrize("change", ["append", "replace", "reassign", "slice"])
+def test_handles_follow_every_change_to_a_bucket(change):
+    theory = converted_theory()
+    before = theory.handles(NormalForm.NF3)
+    c, r = theory.classes.id("C"), theory.relations.id("r")
+    if change == "append":
+        theory.nf3.append((c, r, c))
+    elif change == "replace":
+        theory.nf3[0] = (c, r, c)
+    elif change == "reassign":
+        theory.nf3 = [(c, r, c)]
+    else:
+        theory.nf3[:] = [(c, r, c)] + theory.nf3
+    after = theory.handles(NormalForm.NF3)
+    assert after is not before
+    assert after.tolist() == [list(entry) for entry in theory.nf3]
+    assert theory.handles(NormalForm.NF3) is after
+    assert before.tolist() != after.tolist()
+    # an equal entry in a new tuple keeps the conversion
+    theory.nf3[0] = tuple(list(theory.nf3[0]))
+    assert theory.handles(NormalForm.NF3) is after
+
+
+def test_bot1_handles_follow_its_bare_classes():
+    theory = converted_theory()
+    assert theory.handles(NormalForm.BOT1).tolist() == [[theory.classes.id("D")]]
+    theory.bot1[0] = theory.classes.id("A")
+    assert theory.handles(NormalForm.BOT1).tolist() == [[theory.classes.id("A")]]
+
+
+def test_names_follow_the_vocabularies():
+    theory = converted_theory()
+    names = theory.names()
+    theory.classes.intern("A")  # already there: the vocabulary does not grow
+    assert theory.names()["c"] is names["c"]
+    theory.classes.intern("Z")
+    assert list(theory.names()["c"]) == list(theory.classes)
+    theory.relations = theory.relations.copy()
+    theory.relations.intern("s")
+    assert list(theory.names()["r"]) == ["r", "s"]
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_a_copied_theory_converts_afresh(how):
+    theory = converted_theory()
+    rows = theory.handles(NormalForm.NF1)
+    other = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda t: pickle.loads(pickle.dumps(t))}[how](theory)
+    assert other == theory
+    got = other.handles(NormalForm.NF1)
+    assert got is not rows and not got.flags.writeable and got.tolist() == rows.tolist()
+    assert theory.handles(NormalForm.NF1) is rows
+
+
+def test_the_conversion_is_not_part_of_equality_or_repr():
+    theory, again = converted_theory(), converted_theory()
+    for form in NormalForm:
+        theory.handles(form)
+    assert theory == again and repr(theory) == repr(again)

@@ -15,7 +15,7 @@ import pytest
 
 import parser_reference as reference
 from elball import synthetic
-from elball.ontology import Ontology, ParseError, parse_axiom, parse_ontology
+from elball.ontology import MAX_NESTING, Ontology, ParseError, parse_axiom, parse_ontology
 
 NAMES = ["A", "B", "C1", "r", "s", "x", "_u", "a.b-c", "N#0"]
 DIGIT_NAMES = ["9A", "1", "GO:0005575", "9606.ENSP23"]  # a leading digit, or ':' after the first character
@@ -122,6 +122,31 @@ def test_nesting_deeper_than_the_stack_is_an_error_in_both():
     for parse in (parse_ontology, reference.parse_ontology):
         with pytest.raises(ParseError, match=r"^line 2, column \d+: concept nested too deeply$"):
             parse(text, Ontology())
+
+
+def called_deeper(frames: int, fn):
+    return fn() if frames == 0 else called_deeper(frames - 1, fn)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("r some (" * 300 + "A" + ")" * 300 + " < C", "line 1, column 2051: concept nested too deeply"),
+    ("r some (" * 256 + "A" + ")" * 256 + " < C", None),
+    ("(" * MAX_NESTING + "A" + ")" * MAX_NESTING + " < C", None),
+    ("(" * (MAX_NESTING + 1) + "A" + ")" * (MAX_NESTING + 1) + " < C",
+     f"line 1, column {MAX_NESTING + 1}: concept nested too deeply"),
+    ("A < " + "r some " * MAX_NESTING + "B", None),
+    ("A < " + "r some " * (MAX_NESTING + 1) + "B", f"line 1, column {7 * MAX_NESTING + 7}: concept nested too deeply"),
+], ids=["600-levels", "512-levels", "parentheses", "parentheses+1", "some", "some+1"])
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(text, error):
+    # MAX_NESTING levels take as many frames; the error is at the token that opens one more
+    def verdict():
+        try:
+            parse_ontology(text)
+        except ParseError as exc:
+            return str(exc)
+        return None
+
+    assert verdict() == called_deeper(150, verdict) == error
 
 
 def load_elmixed():
