@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from .evaluation import LinkSplit, entity_index
 from .ontology import BOT_NAME, GCI, TOP_NAME, Atomic, Existential, Nominal, Ontology
 
 CHECKPOINT_VERSION = 1
+_NUMBERS = {int, float}  # the types json reads a JSON number as
 FUNCTION_RELATION = "hasFunction"  # links an entity to each of its annotations
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, valid, test
 
@@ -162,10 +164,9 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
             raise CheckpointError(f"corrupt checkpoint {path}: missing {key!r}")
         if key != "version" and not isinstance(payload[key], dict):
             raise CheckpointError(f"corrupt checkpoint {path}: {key!r} is not a JSON object")
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path}: version {payload['version']} != supported {CHECKPOINT_VERSION}"
-        )
+    version = payload["version"]
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # True and 1.0 equal 1
+        raise CheckpointError(f"checkpoint {path}: version {version!r} != supported {CHECKPOINT_VERSION}")
     dim = payload["metadata"].get("dim")
     if type(dim) is not int or dim < 1:  # a bool is an int, but not a dimension
         raise CheckpointError(f"corrupt checkpoint {path}: metadata dim {dim!r} is not a positive integer")
@@ -177,13 +178,16 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     class_names = list(payload["classes"])
     relation_names = list(payload["relations"])
     try:
-        centers = np.asarray(
-            [payload["classes"][n]["center"] for n in class_names], dtype=np.float64
-        ).reshape(len(class_names), dim)
-        radii = np.asarray([float(payload["classes"][n]["radius"]) for n in class_names])
-        rels = np.asarray(
-            [payload["relations"][n] for n in relation_names], dtype=np.float64
-        ).reshape(len(relation_names), dim)
+        entries = [payload["classes"][n] for n in class_names]
+        center_rows = [entry["center"] for entry in entries]
+        radius_list = [entry["radius"] for entry in entries]
+        rel_rows = [payload["relations"][n] for n in relation_names]
+        # numpy would read a string or a boolean as a number
+        if not set(map(type, chain(radius_list, *center_rows, *rel_rows))) <= _NUMBERS:
+            raise TypeError("an entry that is not a number")
+        centers = np.asarray(center_rows, dtype=np.float64).reshape(len(class_names), dim)
+        radii = np.asarray(radius_list, dtype=np.float64).reshape(len(class_names))
+        rels = np.asarray(rel_rows, dtype=np.float64).reshape(len(relation_names), dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload, dim) or exc}") from None
     bad = _first_invalid(centers, radii, rels, class_names, relation_names)
@@ -198,14 +202,15 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
 
 
 def _bad_entry(payload: dict, dim: int) -> str | None:
-    """The first class or relation entry that is not a numeric vector of
-    length ``dim`` (a class also needs a numeric radius), and why."""
+    """The first class or relation entry that is not a vector of ``dim``
+    JSON numbers (a class also needs a number as its radius), and why."""
     for kind, table in (("class", payload["classes"]), ("relation", payload["relations"])):
         for name, entry in table.items():
             where = f"{kind} {name!r}"
             try:
                 if kind == "class":
-                    float(entry["radius"])
+                    if type(entry["radius"]) not in _NUMBERS:
+                        return f"{where} has a radius {entry['radius']!r}, not a number"
                     entry = entry["center"]
                 vector = np.asarray(entry, dtype=np.float64)
             except KeyError as exc:
@@ -214,6 +219,9 @@ def _bad_entry(payload: dict, dim: int) -> str | None:
                 return f"{where} is malformed: {exc}"
             if vector.shape != (dim,):
                 return f"{where} has a vector of shape {vector.shape}; metadata dim is {dim}"
+            for x in entry:
+                if type(x) not in _NUMBERS:
+                    return f"{where} holds {x!r}, not a number"
     return None
 
 

@@ -268,10 +268,12 @@ def check_model(theory: NormalizedTheory, e: EmbeddingSet, tol: float) -> ModelR
         entries, rows = theory._converted(form)
         ok = np.ones(len(rows), dtype=bool)
         for kind, col in zip(form.kinds, rows.T):
-            bad = col >= len(finite[kind])
+            bad = col.view(np.uintp) >= len(finite[kind])  # a negative handle reads as a huge one
             if bad.any():
                 what = "class" if kind == "c" else "relation"
-                raise GeometryError(f"no embedding for {what} {names[kind][col[bad.argmax()]]!r}")
+                handle = col[bad.argmax()]
+                symbol = repr(names[kind][handle]) if 0 <= handle < len(names[kind]) else f"handle {handle}"
+                raise GeometryError(f"no embedding for {what} {symbol}")
             ok &= finite[kind][col]
         v = [_violations(form, rows[i : i + _BLOCK], e) for i in range(0, len(rows), _BLOCK)]
         handles[form], violations[form] = rows, np.where(ok, np.concatenate(v or [[]]), math.inf)

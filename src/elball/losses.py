@@ -31,7 +31,6 @@ it receives zero gradient.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +144,7 @@ class _Plan:
     two class operands; the others are radius-only."""
 
     is_rel: np.ndarray  # per handle: a relation handle, else a class handle
+    limit: np.ndarray  # per handle: its table's size, the unsigned bound it must stay under
     center: np.ndarray | slice  # the center rows in table order, the relation rows first
     nu: int  # how many there are, one u each
     abr: np.ndarray  # handle positions of every center row's operand a, then of b, then the relations
@@ -159,11 +159,13 @@ class _Plan:
     starts: np.ndarray  # first row of each nonempty form
     order: np.ndarray  # those forms from table order into bucket order
     names: tuple  # the nonempty buckets, in bucket order
+    lanes: np.ndarray  # 0, 1, ..., dim - 1 once per row of abr: a scattered row's offsets from its first
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(sizes: tuple) -> _Plan:
-    """The plan of a batch whose buckets hold ``sizes`` rows, in ``_FORMS`` order."""
+def _plan(sizes: tuple, n_classes: int, n_relations: int, dim: int) -> _Plan:
+    """The plan of a batch whose buckets hold ``sizes`` rows, in ``_FORMS``
+    order, over tables of ``n_classes`` and ``n_relations`` rows of ``dim``."""
     offsets = np.cumsum([0] + [n * len(form[2]) for n, form in zip(sizes, _FORMS)])
     is_rel = np.zeros(int(offsets[-1]), dtype=bool)
     keys = ("center", "a", "b", "rel", "h1", "k1", "h2", "k2", "s", "fa", "fb", "smaller", "smaller_d")
@@ -204,12 +206,14 @@ def _plan(sizes: tuple) -> _Plan:
 
     s = cat("s", dtype=float)
     center = cat("center")
+    abr = cat("a", "b", "rel")
     plan = _Plan(
         is_rel=is_rel,
+        limit=np.where(is_rel, np.uintp(n_relations), np.uintp(n_classes)),
         # a slice when the center rows lead the table, as when no row is radius-only
         center=slice(0, center.size) if np.array_equal(center, np.arange(center.size)) else center,
         nu=center.size,
-        abr=cat("a", "b", "rel"),
+        abr=abr,
         m_plus=m_plus,
         h=cat("h1", "h2"),
         k=cat("k1", "k2", dtype=float),
@@ -221,33 +225,12 @@ def _plan(sizes: tuple) -> _Plan:
         starts=np.asarray(starts, dtype=np.intp),
         order=np.argsort(blocks),
         names=tuple(_FORMS[i][0] for i in sorted(blocks)),
+        lanes=np.tile(np.arange(dim), len(abr)),
     )
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
             _frozen(value)
     return plan
-
-
-# values of a batch's shape, cached beside its plan
-
-
-@functools.lru_cache(maxsize=64)
-def _limits(sizes: tuple, n_classes: int, n_relations: int) -> np.ndarray:
-    """Each handle's table size in a batch of ``sizes``, as the unsigned bound it must stay under."""
-    return _frozen(np.where(_plan(sizes).is_rel, np.uintp(n_relations), np.uintp(n_classes)))
-
-
-@functools.lru_cache(maxsize=64)
-def _shifts(sizes: tuple, gamma: float, sign: float) -> np.ndarray:
-    """Each row's ``s * gamma`` in a batch of ``sizes``. ``sign``, gamma's, is
-    only part of the key: 0.0 and -0.0 are one key but shift -0.0 differently."""
-    return _frozen(_plan(sizes).s * gamma)
-
-
-@functools.lru_cache(maxsize=64)
-def _lanes(rows: int, dim: int) -> np.ndarray:
-    """0, 1, ..., dim - 1 once per row: the offsets of a row's flat positions from its first."""
-    return _frozen(np.tile(np.arange(dim), rows))
 
 
 def _scratch(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -280,11 +263,10 @@ def _forward(batch: LossBatch, e: EmbeddingSet):
                 f"LossBatch bucket {name} has rows of shape {rows.shape[1:]}, "
                 f"not its normal form's width {width}"
             )
-    sizes = tuple(len(b) for b in buckets)
-    plan = _plan(sizes)
+    plan = _plan(tuple(len(b) for b in buckets), e.n_classes, e.n_relations, e.dim)
     handles = np.concatenate([b.ravel() for b in buckets if len(b)] or [_EMPTY[1]], dtype=np.intp)
     # a negative handle reads as a huge unsigned one
-    bad = handles.view(np.uintp) >= _limits(sizes, e.n_classes, e.n_relations)
+    bad = handles.view(np.uintp) >= plan.limit
     if bad.any():
         i = int(bad.argmax())
         kind, n = ("relation", e.n_relations) if plan.is_rel[i] else ("class", e.n_classes)
@@ -315,7 +297,7 @@ def _forward(batch: LossBatch, e: EmbeddingSet):
     arg *= plan.s
     arg += kr[:n]
     arg += kr[n:]
-    arg -= _shifts(sizes, batch.gamma, math.copysign(1.0, batch.gamma))
+    arg -= plan.s * batch.gamma
     return plan, abr, h, y, norm, arg
 
 
@@ -362,7 +344,7 @@ def _table(batch: LossBatch, e: EmbeddingSet, gradient: bool):
     first = abr * dim  # each scattered row's first flat position
     first[2 * nu :] += nc * dim + nc
     idx = _scratch(batch.work, "idx", weights.shape, np.intp)
-    np.add(np.repeat(first, dim), _lanes(rows, dim), out=idx[: rows * dim])
+    np.add(np.repeat(first, dim), plan.lanes, out=idx[: rows * dim])
     np.add(h, nc * dim, out=idx[rows * dim :])
     flat = np.bincount(idx, weights, minlength=size)
     flat[e.top * dim : (e.top + 1) * dim] = 0.0

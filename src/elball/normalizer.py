@@ -430,12 +430,7 @@ def normalize(onto: Ontology) -> NormalizedTheory:
                 raise NormalizationError(
                     "ontology still contains ABox axioms; run eliminate_abox first"
                 )
-            found = _normal_form(axiom.sub, axiom.sup)
-            if found is None:
-                rewrite(axiom.sub, axiom.sup)
-            else:
-                form, entry = found
-                buckets[form][entry] = None
+            add(axiom.sub, axiom.sup)
         except RecursionError:
             raise _nested_too_deeply(line) from None
         except NormalizationError as exc:

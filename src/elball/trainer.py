@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -43,6 +44,10 @@ def _whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     dim: int = 50
@@ -65,9 +70,9 @@ class TrainConfig:
             raise TrainingError("epochs and negatives_per_positive must be non-negative")
         if self.neg_mode not in NEG_MODES:
             raise TrainingError(f"unknown neg_mode {self.neg_mode!r}")
-        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+        if not _real(self.learning_rate) or not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise TrainingError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
-        if not math.isfinite(self.margin):
+        if not _real(self.margin) or not math.isfinite(self.margin):
             raise TrainingError(f"margin must be finite, not {self.margin!r}")
         if not _whole(self.seed) or self.seed < 0:
             raise TrainingError(f"seed must be a non-negative integer, not {self.seed!r}")
@@ -198,7 +203,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     # constant near TOP_RADIUS that no step lowers, and two of them in one
     # minibatch sum to inf
     for form in NormalForm:
-        rows = getattr(full_batch, form.field).reshape(-1, len(form.kinds))
+        rows = theory.handles(form)
         bad = unsatisfiable(form, rows, TOP_ID)
         if bad.any():
             text = form.format(rows[bad][:1], theory.names())[0]

@@ -280,6 +280,24 @@ MALFORMED = [
     pytest.param(lambda p: p.update(classes={}), "no 'Top' class", id="no-classes"),
     pytest.param(lambda p: p["metadata"].update(dim=-1), "metadata dim -1", id="negative-dim"),
     pytest.param(lambda p: p["metadata"].update(dim=True), "metadata dim True", id="bool-dim"),
+    # json reads these as strings and booleans, which numpy would take as numbers
+    pytest.param(
+        lambda p: p["classes"]["A"].update(radius="1.5"), "class 'A' has a radius '1.5'", id="string-radius"
+    ),
+    pytest.param(
+        lambda p: p["classes"]["A"].update(radius=True), "class 'A' has a radius True", id="bool-radius"
+    ),
+    pytest.param(
+        lambda p: p["classes"]["B"].update(center=["1", "2"]), "class 'B' holds '1'", id="string-center"
+    ),
+    pytest.param(
+        lambda p: p["classes"]["B"].update(center=[0.5, False]), "class 'B' holds False", id="bool-center"
+    ),
+    pytest.param(
+        lambda p: p["relations"].update(r=[0.5, "2"]), "relation 'r' holds '2'", id="string-relation"
+    ),
+    pytest.param(lambda p: p.update(version=True), "version True", id="bool-version"),
+    pytest.param(lambda p: p.update(version=1.0), "version 1.0", id="float-version"),
 ]
 
 

@@ -252,6 +252,24 @@ class TestCheckModel:
         with pytest.raises(GeometryError, match="class 'E'"):
             check_model(make_theory(nf1=[(C, E)]), make_embeddings(np.zeros((4, 2)), [0] * 4), 0.0)
 
+    @pytest.mark.parametrize(
+        "buckets, what",
+        [
+            ({"nf1": [(C, -1)]}, "class handle -1"),
+            ({"nf2": [(C, D, -1)]}, "class handle -1"),
+            ({"nf3": [(C, -1, D)]}, "relation handle -1"),
+            ({"bot1": [-1]}, "class handle -1"),
+            ({"bot2": [(-2, C)]}, "class handle -2"),
+            ({"nf1": [(C, 9)]}, "class handle 9"),
+        ],
+        ids=["nf1", "nf2", "nf3", "bot1", "bot2", "past-the-vocabulary"],
+    )
+    def test_handle_without_a_name_is_refused(self, buckets, what):
+        # a negative index would read the table's last rows; neither has a name to report
+        e = make_embeddings(np.zeros((5, 2)), [0, 0, 0.2, 0.5, 1.0])
+        with pytest.raises(GeometryError, match=f"no embedding for {what}$"):
+            check_model(make_theory(**buckets), e, 0.0)
+
     def test_tolerance_monotonicity(self, rng):
         t = make_theory(nf1=[(C, D)], bot2=[(D, E)], nf3=[(C, 0, E)])
         for _ in range(25):

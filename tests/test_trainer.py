@@ -84,6 +84,11 @@ class TestTrainConfig:
             ("margin", math.inf),
             ("margin", -math.inf),
             ("margin", math.nan),
+            ("learning_rate", True),
+            ("learning_rate", "0.1"),
+            ("margin", True),
+            ("margin", "0.1"),
+            ("margin", None),
         ],
     )
     def test_refuses_a_rate_or_margin_that_makes_training_meaningless(self, field, value):
