@@ -6,8 +6,8 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +153,8 @@ def _first_invalid(centers, radii, rels, class_names, relation_names) -> str | N
 def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoint:
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSON or UTF-8 error, or a repeated key
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise CheckpointError(f"corrupt checkpoint {path}: the top level is not a JSON object")
@@ -173,23 +173,24 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     if expect_dim is not None and dim != expect_dim:
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
-    if TOP_NAME not in payload["classes"]:
+    classes, relations = payload["classes"], payload["relations"]
+    if TOP_NAME not in classes:
         raise CheckpointError(f"checkpoint {path} has no {TOP_NAME!r} class")
-    class_names = list(payload["classes"])
-    relation_names = list(payload["relations"])
-    try:
-        entries = [payload["classes"][n] for n in class_names]
-        center_rows = [entry["center"] for entry in entries]
-        radius_list = [entry["radius"] for entry in entries]
-        rel_rows = [payload["relations"][n] for n in relation_names]
-        # numpy would read a string or a boolean as a number
-        if not set(map(type, chain(radius_list, *center_rows, *rel_rows))) <= _NUMBERS:
-            raise TypeError("an entry that is not a number")
-        centers = np.asarray(center_rows, dtype=np.float64).reshape(len(class_names), dim)
-        radii = np.asarray(radius_list, dtype=np.float64).reshape(len(class_names))
-        rels = np.asarray(rel_rows, dtype=np.float64).reshape(len(relation_names), dim)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {_bad_entry(payload, dim) or exc}") from None
+    centers, radii = np.empty((len(classes), dim)), np.empty(len(classes))
+    rels = np.empty((len(relations), dim))
+    for i, (name, entry) in enumerate(classes.items()):
+        if type(entry) is not dict:
+            _corrupt(path, "class", name, f"is {entry!r}, not an object with 'center' and 'radius'")
+        if "radius" not in entry or "center" not in entry:
+            _corrupt(path, "class", name, f"has no {'radius' if 'radius' not in entry else 'center'!r}")
+        radius = entry["radius"]
+        if type(radius) not in _NUMBERS:  # numpy would read a string or a boolean as a number
+            _corrupt(path, "class", name, f"has a radius {radius!r}, not a number")
+        radii[i] = radius
+        centers[i] = _vector(path, "class", name, entry["center"], dim)
+    for i, (name, entry) in enumerate(relations.items()):
+        rels[i] = _vector(path, "relation", name, entry, dim)
+    class_names, relation_names = list(classes), list(relations)
     bad = _first_invalid(centers, radii, rels, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad}")
@@ -201,28 +202,29 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     return Checkpoint(e, class_names, relation_names, payload["metadata"])
 
 
-def _bad_entry(payload: dict, dim: int) -> str | None:
-    """The first class or relation entry that is not a vector of ``dim``
-    JSON numbers (a class also needs a number as its radius), and why."""
-    for kind, table in (("class", payload["classes"]), ("relation", payload["relations"])):
-        for name, entry in table.items():
-            where = f"{kind} {name!r}"
-            try:
-                if kind == "class":
-                    if type(entry["radius"]) not in _NUMBERS:
-                        return f"{where} has a radius {entry['radius']!r}, not a number"
-                    entry = entry["center"]
-                vector = np.asarray(entry, dtype=np.float64)
-            except KeyError as exc:
-                return f"{where} has no {exc}"
-            except (TypeError, ValueError) as exc:
-                return f"{where} is malformed: {exc}"
-            if vector.shape != (dim,):
-                return f"{where} has a vector of shape {vector.shape}; metadata dim is {dim}"
-            for x in entry:
-                if type(x) not in _NUMBERS:
-                    return f"{where} holds {x!r}, not a number"
-    return None
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {key!r} is repeated in one object")
+    return obj
+
+
+def _vector(path, kind: str, name: str, vector, dim: int) -> list:
+    """``vector`` if it is a flat list of ``dim`` JSON numbers, else CheckpointError naming the entry."""
+    if type(vector) is list and len(vector) == dim and _NUMBERS.issuperset(map(type, vector)):
+        return vector
+    if type(vector) is not list:
+        _corrupt(path, kind, name, f"has {vector!r}, not a list of {dim} numbers")
+    if len(vector) != dim:
+        _corrupt(path, kind, name, f"has a vector of shape ({len(vector)},); metadata dim is {dim}")
+    x = next(x for x in vector if type(x) not in _NUMBERS)
+    _corrupt(path, kind, name, f"holds {x!r}, not a number")
+
+
+def _corrupt(path, kind: str, name: str, why: str):
+    raise CheckpointError(f"corrupt checkpoint {path}: {kind} {name!r} {why}")
 
 
 # --- ingestion -----------------------------------------------------------
@@ -237,12 +239,18 @@ def tsv_lines(path: str | Path):
                 yield lineno, line.split("\t")
 
 
+def _tsv_rows(path: str | Path, width: int):
+    """tsv_lines, each of ``width`` fields; another row raises DataError naming its line."""
+    for lineno, parts in tsv_lines(path):
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} tab-separated fields")
+        yield lineno, parts
+
+
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str, float]]:
     """entity1<TAB>entity2<TAB>confidence rows; malformed rows name their line."""
     rows = []
-    for lineno, parts in tsv_lines(path):
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+    for lineno, parts in _tsv_rows(path, 3):
         try:
             conf = float(parts[2])
             if math.isnan(conf):  # no threshold keeps or drops it
@@ -254,12 +262,7 @@ def read_pairs_tsv(path: str | Path) -> list[tuple[str, str, float]]:
 
 
 def read_annotations_tsv(path: str | Path) -> list[tuple[str, str]]:
-    rows = []
-    for lineno, parts in tsv_lines(path):
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        rows.append((parts[0], parts[1]))
-    return rows
+    return [(entity, cls) for _, (entity, cls) in _tsv_rows(path, 2)]
 
 
 def split_pairs(pairs: list[tuple[str, str]], seed: int) -> tuple[list, list, list]:
@@ -383,18 +386,9 @@ def write_split(split: LinkSplit, out_dir: str | Path) -> None:
 
 
 def read_split(split_dir: str | Path) -> LinkSplit:
-    split_dir = Path(split_dir)
-
     def read(name):
-        path = split_dir / f"{name}.tsv"
-        if not path.exists():
-            return []
-        triples = []
-        for lineno, parts in tsv_lines(path):
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            triples.append(tuple(parts))
-        return triples
+        path = Path(split_dir) / f"{name}.tsv"
+        return [tuple(parts) for _, parts in _tsv_rows(path, 3)] if path.exists() else []
 
     return LinkSplit(train=read("train"), valid=read("valid"), test=read("test"))
 

@@ -159,7 +159,12 @@ class _Plan:
     starts: np.ndarray  # first row of each nonempty form
     order: np.ndarray  # those forms from table order into bucket order
     names: tuple  # the nonempty buckets, in bucket order
-    lanes: np.ndarray  # 0, 1, ..., dim - 1 once per row of abr: a scattered row's offsets from its first
+    dim: int  # the tables' row width
+
+    @functools.cached_property
+    def lanes(self) -> np.ndarray:  # built by a plan's first gradient; forward-only plans hold none
+        """0, 1, ..., dim - 1 once per row of abr: a scattered row's offsets from its first."""
+        return _frozen(np.tile(np.arange(self.dim), len(self.abr)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,7 +230,7 @@ def _plan(sizes: tuple, n_classes: int, n_relations: int, dim: int) -> _Plan:
         starts=np.asarray(starts, dtype=np.intp),
         order=np.argsort(blocks),
         names=tuple(_FORMS[i][0] for i in sorted(blocks)),
-        lanes=np.tile(np.arange(dim), len(abr)),
+        dim=dim,
     )
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):

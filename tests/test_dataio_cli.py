@@ -298,7 +298,33 @@ MALFORMED = [
     ),
     pytest.param(lambda p: p.update(version=True), "version True", id="bool-version"),
     pytest.param(lambda p: p.update(version=1.0), "version 1.0", id="float-version"),
+    # json.load keeps the last of two equal keys; the first entry would vanish
+    pytest.param(
+        lambda p: p.update(classes=Repeated(p["classes"])), "key 'B' is repeated", id="repeated-class"
+    ),
+    # what the one walk over the entries decides, each entry named
+    pytest.param(lambda p: p["classes"].update(A=[0.5, 0.5]), "class 'A' is [0.5, 0.5]", id="list-class"),
+    pytest.param(lambda p: p["classes"].update(A=3), "class 'A' is 3", id="number-class"),
+    pytest.param(lambda p: p["classes"]["A"].pop("center"), "class 'A' has no 'center'", id="no-center"),
+    pytest.param(lambda p: p["classes"]["B"].update(center=None), "class 'B' has None", id="null-center"),
+    pytest.param(
+        lambda p: p["classes"]["B"].update(center=[[0.5, 0.5]]), "class 'B' has a vector", id="nested-center"
+    ),
+    pytest.param(
+        lambda p: p["classes"]["B"].update(center=[[0.5], [0.5]]), "class 'B' holds [0.5]", id="nested-rows"
+    ),
+    pytest.param(
+        lambda p: p["relations"].update(r={"center": [0.5, 0.5]}), "relation 'r' has {", id="object-relation"
+    ),
 ]
+
+
+class Repeated(dict):
+    """A JSON object that json.dumps writes with its last key twice."""
+
+    def items(self):
+        items = list(super().items())
+        return items + items[-1:]
 
 
 @pytest.mark.parametrize("corrupt, where", MALFORMED)
@@ -320,6 +346,14 @@ def test_checkpoint_top_level_must_be_an_object(tmp_path, text):
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"corrupt checkpoint {path}: the top level is not a JSON object"
+
+
+def test_an_integer_json_will_not_read_names_the_checkpoint(tmp_path):
+    # past int_max_str_digits json.load raises a plain ValueError, not a JSONDecodeError
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"version": ' + "1" * 5000 + "}")
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
 
 
 class TestTsvParsing:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from elball import losses
 from elball.embeddings import EmbeddingSet, TOP_RADIUS
 from elball.geometry import (
     Ball,
@@ -451,6 +452,29 @@ def test_check_model_writes_into_no_handle_block(monkeypatch):
     monkeypatch.setattr(NormalizedTheory, "handles", read_only)
     got = check_model(theory, e, 0.05)
     assert [c.violation for c in got.checks] == [c.violation for c in want.checks]
+
+
+def test_a_plan_builds_its_scatter_offsets_on_its_first_gradient():
+    # check_model reads only the forward pass, so its cached plans hold no lanes
+    theory, e = random_theory(np.random.default_rng(4))
+    losses._plan.cache_clear()
+    check_model(theory, e, 0.05)
+    for form in NormalForm:
+        if form is NormalForm.NF2:  # checked through its enclosures, not the losses
+            continue
+        rows = theory.handles(form)
+        sizes = tuple(len(rows) if field == form.field else 0 for _, field, _, _ in losses._FORMS)
+        key = (sizes, e.n_classes, e.n_relations, e.dim)
+        hits = losses._plan.cache_info().hits
+        plan = losses._plan(*key)
+        assert losses._plan.cache_info().hits == hits + 1, form  # the plan check_model built
+        assert "lanes" not in vars(plan), form
+        with np.errstate(over="ignore", invalid="ignore"):  # Top's sentinel radius
+            losses.batch_gradient(losses.LossBatch(0.0, **{form.field: rows}), e)
+        assert losses._plan(*key) is plan
+        lanes = vars(plan)["lanes"]
+        assert np.array_equal(lanes, np.tile(np.arange(e.dim), len(plan.abr))), form
+        assert not lanes.flags.writeable
 
 
 def test_a_theory_converted_by_training_checks_as_a_fresh_one():
