@@ -17,7 +17,7 @@ from .evaluation import EvaluationError, embedding_score_fn, ranking_report
 from .geometry import GeometryError, check_model
 from .normalizer import NormalForm, NormalizationError, NormalizedTheory, eliminate_abox, normalize
 from .ontology import TOP_ID, OntologyError, format_ontology, is_name, parse_ontology
-from .trainer import NEG_MODES, TrainConfig, TrainingError, train
+from .trainer import TrainConfig, TrainingError, train
 
 # errors in what the user passed in, reported by ``run`` as one line and status 2
 INPUT_ERRORS = (OntologyError, NormalizationError, dataio.DataError, EvaluationError,
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--neg-per-pos", dest="negatives_per_positive", type=int, metavar="NEG_PER_POS")
     p.add_argument("--steps-per-epoch", type=int)
-    p.add_argument("--neg-mode", choices=NEG_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 

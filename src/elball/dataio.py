@@ -178,18 +178,24 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
         raise CheckpointError(f"checkpoint {path} has no {TOP_NAME!r} class")
     centers, radii = np.empty((len(classes), dim)), np.empty(len(classes))
     rels = np.empty((len(relations), dim))
-    for i, (name, entry) in enumerate(classes.items()):
-        if type(entry) is not dict:
-            _corrupt(path, "class", name, f"is {entry!r}, not an object with 'center' and 'radius'")
-        if "radius" not in entry or "center" not in entry:
-            _corrupt(path, "class", name, f"has no {'radius' if 'radius' not in entry else 'center'!r}")
-        radius = entry["radius"]
-        if type(radius) not in _NUMBERS:  # numpy would read a string or a boolean as a number
-            _corrupt(path, "class", name, f"has a radius {radius!r}, not a number")
-        radii[i] = radius
-        centers[i] = _vector(path, "class", name, entry["center"], dim)
-    for i, (name, entry) in enumerate(relations.items()):
-        rels[i] = _vector(path, "relation", name, entry, dim)
+    kind = "class"
+    try:
+        for i, (name, entry) in enumerate(classes.items()):
+            if type(entry) is not dict:
+                _corrupt(path, "class", name, f"is {entry!r}, not an object with 'center' and 'radius'")
+            if "radius" not in entry or "center" not in entry:
+                _corrupt(path, "class", name, f"has no {'radius' if 'radius' not in entry else 'center'!r}")
+            radius = entry["radius"]
+            if type(radius) not in _NUMBERS:  # numpy would read a string or a boolean as a number
+                _corrupt(path, "class", name, f"has a radius {radius!r}, not a number")
+            radii[i] = radius
+            centers[i] = _vector(path, "class", name, entry["center"], dim)
+        kind = "relation"
+        for i, (name, entry) in enumerate(relations.items()):
+            rels[i] = _vector(path, "relation", name, entry, dim)
+    except OverflowError:  # a JSON integer past the float range, which json reads exactly
+        why = "holds an integer too large for a float"
+        raise CheckpointError(f"corrupt checkpoint {path}: {kind} {name!r} {why}") from None
     class_names, relation_names = list(classes), list(relations)
     bad = _first_invalid(centers, radii, rels, class_names, relation_names)
     if bad is not None:

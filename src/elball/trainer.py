@@ -16,7 +16,6 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -30,10 +29,9 @@ from .ontology import TOP_ID
 logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 100  # draws per negative before the negative is skipped
-_SAMPLE_STEPS = 32  # static-negative steps whose minibatch indices one draw makes
+_SAMPLE_STEPS = 32  # steps whose minibatch indices one draw makes
 _RESCALE_STEPS = 1000  # Adam steps between rescales of its stored moments
 _NO_KEY = np.iinfo(np.int64).max  # sentinel past every triple key
-NEG_MODES = ("static", "fresh")  # precomputed negatives, or new ones each epoch
 
 
 class TrainingError(ValueError):
@@ -58,7 +56,6 @@ class TrainConfig:
     seed: int = 0
     negatives_per_positive: int = 1
     steps_per_epoch: int = 1
-    neg_mode: str = "static"  # one of NEG_MODES
 
     def __post_init__(self):
         for name in ("dim", "epochs", "batch_size", "steps_per_epoch", "negatives_per_positive"):
@@ -68,8 +65,6 @@ class TrainConfig:
             raise TrainingError("dim, batch_size, and steps_per_epoch must be positive")
         if self.epochs < 0 or self.negatives_per_positive < 0:
             raise TrainingError("epochs and negatives_per_positive must be non-negative")
-        if self.neg_mode not in NEG_MODES:
-            raise TrainingError(f"unknown neg_mode {self.neg_mode!r}")
         if not _real(self.learning_rate) or not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise TrainingError(f"learning_rate must be positive and finite, not {self.learning_rate!r}")
         if not _real(self.margin) or not math.isfinite(self.margin):
@@ -198,7 +193,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     """Run the full training loop and return (embeddings, loss trace)."""
     if theory.n_axioms() == 0:
         raise TrainingError("cannot train on an empty theory")
-    full_batch = LossBatch.from_theory(theory, cfg.margin)
+    pools = []  # the buckets minibatches draw from, in NormalForm order; the negatives come last
     # refuse the rows check_model reads as inf: such a row's loss is a
     # constant near TOP_RADIUS that no step lowers, and two of them in one
     # minibatch sum to inf
@@ -211,6 +206,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
                 f"{form.value} axiom {text!r} has Top on its left-hand side, "
                 "which no ball embedding satisfies"
             )
+        pools.append((form.field, rows if len(form.kinds) > 1 else rows[:, 0]))
 
     theta, e = init_embeddings(theory, cfg).packed()
     rng = np.random.default_rng([cfg.seed, 1])
@@ -224,41 +220,25 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
 
     # only corrupt positives whose class slots are both ordinary classes;
     # a negative keeping Top would inherit its unbounded radius
-    nf3 = full_batch.nf3
+    nf3 = theory.handles(NormalForm.NF3)
     corruptible = nf3[ordinary[nf3[:, 0]] & ordinary[nf3[:, 2]]]
-
-    def make_negatives():
-        return generate_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)[0]
-
-    # minibatches draw from the theory's buckets in NormalForm order, then the negatives
-    pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
+    negatives = generate_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)[0]
+    full = [(name, rows) for name, rows in (*pools, ("neg", negatives)) if len(rows)]
+    sizes = np.array([len(rows) for _, rows in full], dtype=np.intp)
     # the loss's scratch arrays, shared by every step: fresh ones each step
     # let the heap shrink and fault its pages back in
     work: dict = {}
 
-    def minibatches(steps: int, negatives: np.ndarray) -> Iterator[LossBatch]:
-        """``steps`` minibatches whose row indices one call draws. The broadcast
-        draw reads the generator stream as one call per step and nonempty pool
-        would, in the same order, so the batches equal such a loop's. Rows are
-        gathered step by step: chunk-sized row arrays living across steps
-        added minor page faults to every step."""
-        full = [(name, rows) for name, rows in (*pools, ("neg", negatives)) if len(rows)]
-        sizes = np.array([len(rows) for _, rows in full], dtype=np.intp)
-        draws = rng.integers(0, sizes[None, :, None], size=(steps, len(full), cfg.batch_size))
-        for step in draws:
-            picked = {name: rows[i] for (name, rows), i in zip(full, step)}
-            yield LossBatch(cfg.margin, **picked, work=work)
-
-    # static negatives are drawn once, so a chunk's draws span epochs;
-    # fresh ones are drawn before each epoch's chunk
-    fresh = cfg.neg_mode == "fresh"
-    chunk = cfg.steps_per_epoch if fresh else _SAMPLE_STEPS
+    # one broadcast call draws the minibatch indices of _SAMPLE_STEPS steps, reading the
+    # generator stream as one call per step and nonempty pool would; rows are gathered per
+    # step, as chunk-sized row arrays living across steps added minor page faults to each
     total = cfg.epochs * cfg.steps_per_epoch
-    for start in range(0, total, chunk):
-        if fresh or not start:
-            negatives = make_negatives()
-        for step, batch in enumerate(minibatches(min(chunk, total - start), negatives), start):
-            grads = batch_gradient(batch, e)
+    for start in range(0, total, _SAMPLE_STEPS):
+        steps = min(_SAMPLE_STEPS, total - start)
+        draws = rng.integers(0, sizes[None, :, None], size=(steps, len(full), cfg.batch_size))
+        for step, picks in enumerate(draws, start):
+            picked = {name: rows[i] for (name, rows), i in zip(full, picks)}
+            grads = batch_gradient(LossBatch(cfg.margin, **picked, work=work), e)
             if not np.isfinite(grads.loss):
                 offender = next((k for k, v in grads.buckets.items() if not np.isfinite(v)), "?")
                 raise TrainingError(f"non-finite loss at epoch {step // cfg.steps_per_epoch} "

@@ -316,6 +316,16 @@ MALFORMED = [
     pytest.param(
         lambda p: p["relations"].update(r={"center": [0.5, 0.5]}), "relation 'r' has {", id="object-relation"
     ),
+    # json reads a JSON integer exactly, and numpy cannot store one past the float range
+    pytest.param(
+        lambda p: p["classes"]["A"].update(radius=10**400), "class 'A' holds an integer", id="huge-radius"
+    ),
+    pytest.param(
+        lambda p: p["classes"]["B"].update(center=[0.5, -(10**400)]), "class 'B' holds an integer", id="huge-center"
+    ),
+    pytest.param(
+        lambda p: p["relations"].update(r=[10**400, 0.5]), "relation 'r' holds an integer", id="huge-relation"
+    ),
 ]
 
 
@@ -757,7 +767,6 @@ TRAIN_FLAGS = [
     ("--seed", "9", "seed", 9),
     ("--neg-per-pos", "2", "negatives_per_positive", 2),
     ("--steps-per-epoch", "3", "steps_per_epoch", 3),
-    ("--neg-mode", "fresh", "neg_mode", "fresh"),
 ]
 
 
@@ -775,10 +784,12 @@ def test_each_train_flag_sets_its_field(family_file, tmp_path, train_configs, fl
 
 
 def test_train_rejects_eval_every(family_file, tmp_path, capsys):
+    # --neg-mode went with per-epoch negatives: a script that still passes it must fail, not train
     argv = ["train", "--theory", str(family_file), "--out", str(tmp_path / "c.json")]
-    with pytest.raises(SystemExit) as info:
-        cli.main(argv + ["--eval-every", "5"])
-    assert info.value.code == 2 and "--eval-every" in capsys.readouterr().err
+    for flag, value in (("--eval-every", "5"), ("--neg-mode", "fresh")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + [flag, value])
+        assert info.value.code == 2 and flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,6 @@ class TestTrainConfig:
             {"epochs": -1},
             {"negatives_per_positive": -1},
             {"steps_per_epoch": 0},
-            {"neg_mode": "sometimes"},
             {"seed": -1},
             {"seed": 1.5},
             {"seed": True},
@@ -406,8 +405,7 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 0 in bucket NF3"):
             train(theory, TrainConfig(dim=2, epochs=3, batch_size=4, seed=0))
 
-    @pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
-    def test_non_finite_loss_names_the_epoch_of_its_step(self, family_theory, neg_mode, monkeypatch):
+    def test_non_finite_loss_names_the_epoch_of_its_step(self, family_theory, monkeypatch):
         # with 2 steps per epoch, the 5th step is the first of epoch 2
         calls = []
 
@@ -419,35 +417,19 @@ class TestTrain:
             return grads
 
         monkeypatch.setattr(trainer, "batch_gradient", poisoned)
-        cfg = TrainConfig(dim=2, epochs=4, steps_per_epoch=2, batch_size=4, seed=0, neg_mode=neg_mode)
+        cfg = TrainConfig(dim=2, epochs=4, steps_per_epoch=2, batch_size=4, seed=0)
         with pytest.raises(TrainingError, match="^non-finite loss at epoch 2 in bucket "):
             train(family_theory, cfg)
         assert len(calls) == 5
 
-    def test_fresh_negatives_mode_runs(self, family_theory):
-        cfg = TrainConfig(
-            dim=2, margin=0.0, epochs=10, batch_size=4, seed=2, neg_mode="fresh"
-        )
-        e, trace = train(family_theory, cfg)
-        assert len(trace.minibatch) == 10
-        assert np.all(np.isfinite(e.class_centers))
-
     def test_theory_without_corruptible_nf3_rows(self):
-        # each NF3 row has Top as its filler, so no mode has a row to corrupt
+        # each NF3 row has Top as its filler, so there is no row to corrupt
         from elball.ontology import parse_ontology
 
         theory = normalize(parse_ontology("A < B\nA < r some Top\nB < r some Top\n"))
         assert len(theory.nf3) == 2
-        (static, t_static), (fresh, t_fresh) = [
-            train(theory, TrainConfig(dim=2, epochs=5, batch_size=4, seed=3, neg_mode=mode))
-            for mode in trainer.NEG_MODES
-        ]
-        assert len(t_static.minibatch) == 5 and np.isfinite(t_static.minibatch).all()
-        # neither mode draws from the generator for negatives
-        assert t_static.minibatch == t_fresh.minibatch
-        assert np.array_equal(static.class_centers, fresh.class_centers)
-        assert np.array_equal(static.class_radii, fresh.class_radii)
-        assert np.array_equal(static.rel_vectors, fresh.rel_vectors)
+        _, trace = train(theory, TrainConfig(dim=2, epochs=5, batch_size=4, seed=3))
+        assert len(trace.minibatch) == 5 and np.isfinite(trace.minibatch).all()
 
     def test_calls_go_through_module_names(self, monkeypatch):
         # the benchmark's traced run times training by patching these names
@@ -472,11 +454,8 @@ class TestTrain:
         for name in ("batch_gradient", "generate_negatives"):
             monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
         monkeypatch.setattr(trainer.Adam, "step", counting("Adam.step", trainer.Adam.step))
-        cfg = TrainConfig(
-            dim=2, epochs=7, steps_per_epoch=3, batch_size=4, seed=0, neg_mode="fresh"
-        )
-        train(theory, cfg)
-        assert calls == {"batch_gradient": 21, "Adam.step": 21, "generate_negatives": 7}
+        train(theory, TrainConfig(dim=2, epochs=7, steps_per_epoch=3, batch_size=4, seed=0))
+        assert calls == {"batch_gradient": 21, "Adam.step": 21, "generate_negatives": 1}
 
 
 def per_step_train(theory, cfg):
@@ -490,15 +469,10 @@ def per_step_train(theory, cfg):
     trace = trainer.LossTrace()
     candidates = [cid for cid in range(len(theory.classes)) if cid not in (e.top, e.bot)]
     corruptible = [(c, r, d) for c, r, d in theory.nf3 if {c, d}.isdisjoint((e.top, e.bot))]
-
-    def make_negatives():
-        negs, _ = round_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
-        return np.asarray(negs, dtype=np.intp).reshape(-1, 3)
-
+    negs, _ = round_negatives(corruptible, candidates, cfg.negatives_per_positive, rng)
+    neg_array = np.asarray(negs, dtype=np.intp).reshape(-1, 3)
     pools = [(form.field, getattr(full_batch, form.field)) for form in NormalForm]
-    for epoch in range(cfg.epochs):
-        if cfg.neg_mode == "fresh" or not epoch:
-            neg_array = make_negatives()
+    for _ in range(cfg.epochs):
         for _ in range(cfg.steps_per_epoch):
             batch = LossBatch(cfg.margin, **{
                 name: rows[rng.integers(len(rows), size=cfg.batch_size)] if len(rows) else rows
@@ -527,14 +501,13 @@ s some C < D
 
 
 @pytest.mark.parametrize("sample_steps", [trainer._SAMPLE_STEPS, 5])
-@pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
-def test_chunked_sampling_equals_per_step_sampling_bitwise(neg_mode, sample_steps, monkeypatch):
+def test_chunked_sampling_equals_per_step_sampling_bitwise(sample_steps, monkeypatch):
     from elball.ontology import parse_ontology
 
     theory = normalize(parse_ontology(SAMPLING_THEORY))
     assert theory.counts() == {"NF1": 1, "NF2": 2, "NF3": 4, "NF4": 3, "Bot1": 0, "Bot2": 0, "Bot4": 0}
     monkeypatch.setattr(trainer, "_SAMPLE_STEPS", sample_steps)  # 5 splits chunks mid-epoch
-    cfg = TrainConfig(dim=3, epochs=7, steps_per_epoch=3, batch_size=6, seed=4, neg_mode=neg_mode)
+    cfg = TrainConfig(dim=3, epochs=7, steps_per_epoch=3, batch_size=6, seed=4)
     (e, trace), (ref_e, ref_trace) = train(theory, cfg), per_step_train(theory, cfg)
     assert e.class_centers.tobytes() == ref_e.class_centers.tobytes()
     assert e.class_radii.tobytes() == ref_e.class_radii.tobytes()
@@ -554,13 +527,12 @@ s some E < Bot
 """
 
 
-@pytest.mark.parametrize("neg_mode", trainer.NEG_MODES)
-def test_runs_in_one_process_are_bitwise_equal(neg_mode):
+def test_runs_in_one_process_are_bitwise_equal():
     from elball.ontology import parse_ontology
 
     theory = normalize(parse_ontology(ALL_FORMS_THEORY))
     assert set(theory.counts().values()) == {1}
-    cfg = TrainConfig(dim=3, epochs=40, steps_per_epoch=2, batch_size=5, seed=2, neg_mode=neg_mode)
+    cfg = TrainConfig(dim=3, epochs=40, steps_per_epoch=2, batch_size=5, seed=2)
     first = train(theory, cfg)
     # a run of other shapes in between; each run keeps its own scratch arrays
     train(normalize(parse_ontology(SAMPLING_THEORY)), TrainConfig(dim=4, epochs=3, batch_size=3))
