@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .embeddings import EmbeddingSet
 Triple = tuple[Hashable, Hashable, Hashable]
 ScoreFn = Callable[[Hashable, Hashable, Sequence[Hashable]], np.ndarray]
 
-_BLOCK = 1 << 16  # float64 elements in one score, difference or product block, 512 kB
+_BLOCK = 1 << 16  # float64 elements in one score or product block, 512 kB
 # heads in one screen product at least: over fewer, packing the pool costs more than the
 # product, so a pool wider than _WIDE_POOL takes _SCREEN_HEADS heads a block
 _SCREEN_HEADS = 16
@@ -88,9 +88,9 @@ def _screen(m, r_h, c, r_t, gamma, row: np.ndarray):
 class EmbeddingScorer:
     """-max(0, a) over symbol names, a = ||c_h + r - c_t|| - r_h - r_t - gamma.
 
-    Calling it, or ``block`` (many heads, one pool, row blocks of at most ``_BLOCK``
-    differences), gives exact scores through ``_args``. ``ahead`` ranks by ``_screen``,
-    recomputing the pairs within its bound: 0.07 % on ppi-1000, 0.2 % on the others.
+    Calling it gives one head's exact scores through ``_args``. ``ahead`` ranks by
+    ``_screen``, recomputing the pairs within its bound: 0.07 % on ppi-1000, 0.2 % on
+    the others.
     """
 
     def __init__(self, e: EmbeddingSet, class_index: dict, rel_index: dict, gamma: float):
@@ -99,21 +99,14 @@ class EmbeddingScorer:
         self.e, self.class_index, self.rel_index, self.gamma = e, class_index, rel_index, gamma
 
     def __call__(self, head, rel, tails) -> np.ndarray:
-        return next(self.block([head], rel, tails))[0]
+        moved, radius, centers, radii = self._gather([head], rel, tails)
+        return -np.maximum(0.0, _args(moved, radius, centers, radii, self.gamma))
 
     def _gather(self, heads: Sequence, rel, tails: Sequence) -> tuple[np.ndarray, ...]:
         h, t = self._handles(self.class_index, heads), self._handles(self.class_index, tails)
         e, r = self.e, self._handles(self.rel_index, [rel])[0]
         centers, radii = e.class_centers, e.class_radii
         return centers[h] + e.rel_vectors[r], radii[h], centers[t], radii[t]
-
-    def block(self, heads: Sequence, rel, tails: Sequence) -> Iterator[np.ndarray]:
-        """The Q×K scores of ``heads`` against ``tails``, as consecutive row blocks."""
-        moved, radii, centers, tail_radii = self._gather(heads, rel, tails)
-        step = max(1, _BLOCK // max(1, len(centers) * self.e.dim))
-        for i in range(0, len(moved), step):
-            m, r = moved[i : i + step, None], radii[i : i + step, None]
-            yield -np.maximum(0.0, _args(m, r, centers, tail_radii, self.gamma))
 
     def ahead(self, heads: Sequence, rel, tails: Sequence, row: np.ndarray, col: np.ndarray):
         """(start, stop, ahead) over runs of the queries (heads[row[q]], rel, tails[col[q]]),

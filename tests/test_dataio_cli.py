@@ -820,8 +820,8 @@ def test_ingest_passes_only_given_flags_to_build_dataset(tmp_path, monkeypatch, 
 # --- console entry point ---------------------------------------------------
 
 
-def run_console(*argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+def run_console(*argv, env=()):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), **dict(env)}
     return subprocess.run(
         [sys.executable, "-m", "elball.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -883,9 +883,13 @@ def test_console_ingest_writes_an_ontology_that_normalize_and_train_read(tmp_pat
     assert "{9606.ENSP00000} < hasFunction some GO:0005575" in (data / "ontology.el").read_text()
     done = run_console("normalize", str(data / "ontology.el"), "--out", str(tmp_path / "nf.txt"))
     assert done.returncode == 0, done.stderr
-    done = run_console("train", "--theory", str(data / "ontology.el"), "--epochs", "1",
-                       "--out", str(tmp_path / "ckpt.json"))
-    assert done.returncode == 0, done.stderr
+    # two processes under different string hash seeds write the same checkpoint bytes
+    ckpts = [tmp_path / f"ckpt{seed}.json" for seed in (1, 2)]
+    for seed, ckpt in zip((1, 2), ckpts):
+        done = run_console("train", "--theory", str(data / "ontology.el"), "--epochs", "20",
+                           "--out", str(ckpt), env={"PYTHONHASHSEED": str(seed)})
+        assert done.returncode == 0, done.stderr
+    assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
 
 
 @pytest.mark.parametrize("pairs_text, annots_text, flags, message", [

@@ -334,7 +334,7 @@ def test_filtered_never_worse_than_raw(rng):
         assert report.filtered_mean_rank <= report.raw_mean_rank
 
 
-# --- block scoring ----------------------------------------------------------
+# --- exact scoring ----------------------------------------------------------
 
 
 def block_tables(rng, n=12, dim=5):
@@ -346,16 +346,14 @@ def block_tables(rng, n=12, dim=5):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("rel", ["r", "zero"])
-def test_block_rows_equal_call_bitwise(seed, rel, monkeypatch):
+def test_block_rows_equal_call_bitwise(seed, rel):
     rng = np.random.default_rng(seed)
     e, names, rels = block_tables(rng)
     fn = embedding_score_fn(e, names, rels, gamma=0.05)
     heads = [f"C{i}" for i in rng.integers(0, 12, 9)] + ["C0"]
     tails = [f"C{i}" for i in rng.permutation(12)] + ["C3", "C0"]
-    monkeypatch.setattr(evaluation, "_BLOCK", 3 * len(tails) * e.dim)  # three rows a block
     with np.errstate(over="ignore"):  # Top against Top: -TOP_RADIUS - TOP_RADIUS
-        blocks = list(fn.block(heads, rel, tails))
-        rows = np.stack([fn(h, rel, tails) for h in heads])
+        got = np.stack([fn(h, rel, tails) for h in heads])
         C, rad, R = e.class_centers, e.class_radii, e.rel_vectors
         t = [names[x] for x in tails]
         printed = np.stack([  # the printed score, through np.linalg.norm per head
@@ -363,9 +361,6 @@ def test_block_rows_equal_call_bitwise(seed, rel, monkeypatch):
                         - rad[names[h]] - rad[t] - 0.05)
             for h in heads
         ])
-    assert [len(b) for b in blocks] == [3, 3, 3, 1]
-    got = np.vstack(blocks)
-    assert np.array_equal(got.view(np.int64), rows.view(np.int64))
     assert np.array_equal(got.view(np.int64), printed.view(np.int64))
     assert (got == 0.0).any() and (got < 0.0).any()
 
@@ -582,8 +577,12 @@ def screen_instance(kind, seed, dim=9, n=30):
     return fn, heads, pool, row, col
 
 
+def exact_scores(fn, heads, pool):
+    return np.stack([fn(h, "r", pool) for h in heads])
+
+
 def exact_ahead(fn, heads, pool, row, col):
-    scores = np.vstack(list(fn.block(heads, "r", pool)))
+    scores = exact_scores(fn, heads, pool)
     return scores[row] >= scores[row, col, None]
 
 
@@ -618,7 +617,7 @@ def test_screened_ahead_equals_exact_comparisons(kind, seed, block, monkeypatch)
     got = screened_ahead(fn, heads, pool, row, col)
     want = exact_ahead(fn, heads, pool, row, col)
     assert np.array_equal(got, want)
-    scores = np.vstack(list(fn.block(heads, "r", pool)))
+    scores = exact_scores(fn, heads, pool)
     true = scores[row, col]
     if kind == "edges":  # exact ties at T > 0, and the zero plateau, are met
         tied = want & (scores[row] == true[:, None])
@@ -634,7 +633,7 @@ def test_band_recompute_equals_block_bitwise(dim):
     rng = np.random.default_rng(dim)
     g, j = rng.integers(0, len(heads), 200), rng.integers(0, len(pool), 200)
     got = -np.maximum(0.0, evaluation._args(moved[g], rh[g], centers[j], rt[j], fn.gamma))
-    want = np.vstack(list(fn.block(heads, "r", pool)))[g, j]
+    want = exact_scores(fn, heads, pool)[g, j]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
