@@ -25,8 +25,13 @@ INPUT_ERRORS = (OntologyError, NormalizationError, dataio.DataError, EvaluationE
 
 
 def _load_theory(path: str) -> NormalizedTheory:
-    with open(path) as fh:
-        text = fh.read()
+    data = Path(path).read_bytes()
+    try:
+        # decoded without newline translation, so a lone \r reaches the parser
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise OntologyError(f"{path}: line {line}: not UTF-8 text") from None
     try:
         return normalize(eliminate_abox(parse_ontology(text)))
     except (OntologyError, NormalizationError) as exc:
@@ -43,7 +48,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _rows(index: dict[str, int], names, kind: str) -> np.ndarray:
@@ -151,7 +156,7 @@ def cmd_ingest(args) -> int:
             raise dataio.DataError(f"{kind} {bad!r} is not a name the ontology format can hold")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ontology.el").write_text(format_ontology(onto))
+    (out_dir / "ontology.el").write_text(format_ontology(onto), encoding="utf-8")
     dataio.write_split(split, out_dir)
     print(
         f"wrote {len(onto.axioms)} axioms, split "

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .evaluation import LinkSplit, entity_index
-from .ontology import BOT_NAME, GCI, TOP_NAME, Atomic, Existential, Nominal, Ontology
+from .ontology import GCI, TOP_NAME, Atomic, Existential, Nominal, Ontology
 
 CHECKPOINT_VERSION = 1
 _NUMBERS = {int, float}  # the types json reads a JSON number as
@@ -64,9 +64,7 @@ def save_checkpoint(
         raise CheckpointError(
             f"cannot write checkpoint {path}: metadata dim {dim!r} is not the tables' dim {e.dim}"
         )
-    bad = _misnamed(e, class_names, relation_names) or _first_invalid(
-        e.class_centers, e.class_radii, e.rel_vectors, class_names, relation_names
-    )
+    bad = _invalid(e, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
     try:
@@ -85,7 +83,7 @@ def save_checkpoint(
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         # the bytes json.dump(indent=1) writes, without its pure-Python encoder
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(f'{head[:-2]},\n "classes": ')
             _write_json_object(fh, class_names, classes)
             fh.write(',\n "relations": ')
@@ -99,9 +97,7 @@ def save_checkpoint(
 
 
 def _json_floats(values: list[float], indent: int) -> str:
-    """A list of finite floats as json.dump(indent=1) writes it at this depth."""
-    if not values:
-        return "[]"
+    """A nonempty list of finite floats as json.dump(indent=1) writes it at this depth."""
     pad = "\n" + " " * indent
     return f"[{pad}{(',' + pad).join(map(float.__repr__, values))}\n{' ' * (indent - 1)}]"
 
@@ -119,40 +115,42 @@ def _write_json_object(fh, names: list[str], bodies) -> None:
     fh.write("\n }")
 
 
-def _misnamed(e: EmbeddingSet, class_names: list[str], relation_names: list[str]) -> str | None:
-    """Why the names do not name the table rows one to one, or None when they do."""
+def _invalid(e: EmbeddingSet, class_names: list, relation_names: list) -> str | None:
+    """Why the tables and names are not a checkpoint, or None when they are: it
+    has dim >= 1, a Top class, string names naming the rows one to one, finite
+    values and non-negative radii. Save and load both hold a checkpoint to this."""
+    if e.dim < 1:
+        return f"dim {e.dim} is not a positive integer"
     tables = (("class", class_names, e.n_classes), ("relation", relation_names, e.n_relations))
     for kind, names, rows in tables:
         if len(names) != rows:
             return f"{len(names)} {kind} names for a {rows}-row table"
         seen: set[str] = set()
         for name in names:
+            if not isinstance(name, str):
+                return f"{kind} name {name!r} is not a string"
             if name in seen:
                 return f"{kind} name {name!r} is repeated"
             seen.add(name)
-    return None
-
-
-def _first_invalid(centers, radii, rels, class_names, relation_names) -> str | None:
-    """The first class or relation row holding a NaN or ±inf, else the first
-    class with a negative radius, and why; None when there is neither."""
+    if TOP_NAME not in class_names:
+        return f"no {TOP_NAME!r} class"
     rows = (
-        ("class", class_names, ~(np.isfinite(centers).all(axis=1) & np.isfinite(radii))),
-        ("relation", relation_names, ~np.isfinite(rels).all(axis=1)),
+        ("class", class_names, ~(np.isfinite(e.class_centers).all(axis=1) & np.isfinite(e.class_radii))),
+        ("relation", relation_names, ~np.isfinite(e.rel_vectors).all(axis=1)),
     )
     for kind, names, bad in rows:
         if bad.any():
             return f"{kind} {names[int(np.argmax(bad))]!r} holds a NaN or ±inf"
-    negative = radii < 0
+    negative = e.class_radii < 0
     if negative.any():
         i = int(np.argmax(negative))
-        return f"class {class_names[i]!r} has a negative radius {float(radii[i])!r}"
+        return f"class {class_names[i]!r} has a negative radius {float(e.class_radii[i])!r}"
     return None
 
 
 def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoint:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSON or UTF-8 error, or a repeated key
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
@@ -174,8 +172,6 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
     classes, relations = payload["classes"], payload["relations"]
-    if TOP_NAME not in classes:
-        raise CheckpointError(f"checkpoint {path} has no {TOP_NAME!r} class")
     centers, radii = np.empty((len(classes), dim)), np.empty(len(classes))
     rels = np.empty((len(relations), dim))
     kind = "class"
@@ -196,15 +192,10 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
     except OverflowError:  # a JSON integer past the float range, which json reads exactly
         why = "holds an integer too large for a float"
         raise CheckpointError(f"corrupt checkpoint {path}: {kind} {name!r} {why}") from None
-    class_names, relation_names = list(classes), list(relations)
-    bad = _first_invalid(centers, radii, rels, class_names, relation_names)
+    e, class_names, relation_names = EmbeddingSet(centers, radii, rels), list(classes), list(relations)
+    bad = _invalid(e, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad}")
-
-    top = class_names.index(TOP_NAME)
-    bot = class_names.index(BOT_NAME) if BOT_NAME in class_names else top
-
-    e = EmbeddingSet(centers, radii, rels, top=top, bot=bot)
     return Checkpoint(e, class_names, relation_names, payload["metadata"])
 
 
@@ -237,12 +228,23 @@ def _corrupt(path, kind: str, name: str, why: str):
 
 
 def tsv_lines(path: str | Path):
-    """(line number, tab-separated fields) of every line but blank and # lines."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                yield lineno, line.split("\t")
+    """(line number, tab-separated fields) of every line but blank and # lines;
+    a line that is not UTF-8 raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line and not line.startswith("#"):
+                    yield lineno, line.split("\t")
+    except UnicodeDecodeError:
+        # text mode decodes in chunks, so the error does not say which line;
+        # bytes split where text mode splits, at \n, \r\n and \r
+        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+        raise
 
 
 def _tsv_rows(path: str | Path, width: int):
@@ -386,7 +388,7 @@ def write_split(split: LinkSplit, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, triples in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-        with open(out_dir / f"{name}.tsv", "w") as fh:
+        with open(out_dir / f"{name}.tsv", "w", encoding="utf-8") as fh:
             for h, r, t in triples:
                 fh.write(f"{h}\t{r}\t{t}\n")
 

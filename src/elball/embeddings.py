@@ -1,7 +1,8 @@
 """Embedding tables: per-class center and radius, per-relation translation.
 
 Classes and relations are addressed by their vocabulary handles, so the
-tables are plain arrays indexed by handle. Top's radius is a finite
+tables are plain arrays indexed by handle: Top is row 0 and Bot row 1, as
+``TOP_ID`` and ``BOT_ID`` fix them for every theory. Top's radius is a finite
 sentinel (the largest representable float) standing in for infinity; Top's
 parameters are frozen during training.
 """
@@ -9,6 +10,7 @@ parameters are frozen during training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,8 +35,8 @@ class EmbeddingSet:
     class_centers: np.ndarray  # (n_classes, dim)
     class_radii: np.ndarray  # (n_classes,)
     rel_vectors: np.ndarray  # (n_relations, dim)
-    top: int = TOP_ID
-    bot: int = BOT_ID
+    top: ClassVar[int] = TOP_ID
+    bot: ClassVar[int] = BOT_ID
 
     @property
     def dim(self) -> int:
@@ -53,14 +55,12 @@ class EmbeddingSet:
         flat = np.concatenate(
             [self.class_centers.ravel(), self.class_radii, self.rel_vectors.ravel()]
         )
-        return flat, EmbeddingSet(*table_views(flat, self.n_classes, self.dim), self.top, self.bot)
+        return flat, EmbeddingSet(*table_views(flat, self.n_classes, self.dim))
 
     def zeros_like(self) -> "EmbeddingSet":
         return EmbeddingSet(
             np.zeros_like(self.class_centers),
             np.zeros_like(self.class_radii),
             np.zeros_like(self.rel_vectors),
-            self.top,
-            self.bot,
         )
 

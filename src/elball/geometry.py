@@ -219,11 +219,11 @@ _TOP_RULES = {
 }
 
 
-def unsatisfiable(form: NormalForm, rows: np.ndarray, top: int) -> np.ndarray:
+def unsatisfiable(form: NormalForm, rows: np.ndarray) -> np.ndarray:
     """Which of a bucket's handle rows Top's rules read as inf: Top on a
     left-hand side, unless a rule makes the row hold (Top < Top)."""
     x = rows.T
-    inf, zero = _TOP_RULES[form](x, x == top)
+    inf, zero = _TOP_RULES[form](x, x == EmbeddingSet.top)
     return np.broadcast_to(np.asarray(inf) & ~np.asarray(zero), len(rows))
 
 

@@ -71,11 +71,11 @@ def generate(
 def write_dataset(dataset: SyntheticDataset, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "pairs.tsv", "w") as fh:
+    with open(out_dir / "pairs.tsv", "w", encoding="utf-8") as fh:
         for a, b, conf in dataset.pair_rows:
             fh.write(f"{a}\t{b}\t{conf:g}\n")
-    with open(out_dir / "annotations.tsv", "w") as fh:
+    with open(out_dir / "annotations.tsv", "w", encoding="utf-8") as fh:
         for entity, cls in dataset.annotation_rows:
             fh.write(f"{entity}\t{cls}\n")
-    with open(out_dir / "taxonomy.el", "w") as fh:
+    with open(out_dir / "taxonomy.el", "w", encoding="utf-8") as fh:
         fh.write(dataset.taxonomy_text)

@@ -1,13 +1,13 @@
 """Minibatch training of ball embeddings: init, negatives, Adam, projection.
 
-One epoch samples a minibatch (with replacement) from every nonempty
+Each step samples a minibatch (with replacement) from every nonempty
 axiom bucket, takes an Adam step on the summed gradient and clamps all
-radii to be non-negative. Top's gradient is always zero, so Adam leaves
-its center and sentinel radius exactly as initialized. Centers, radii
-and relation vectors are views into one flat parameter buffer, so a step
-is one Adam update of it, with moments stored rescaled (see ``Adam``).
-Everything is driven by a single seeded generator, so a (theory, config)
-pair maps to a bitwise-reproducible embedding.
+radii to be non-negative; an epoch is ``steps_per_epoch`` steps. Top's
+gradient is always zero, so Adam leaves its center and sentinel radius
+exactly as initialized. Centers, radii and relation vectors are views
+into one flat parameter buffer, so a step is one Adam update of it, with
+moments stored rescaled (see ``Adam``). One seeded generator drives it
+all, so a (theory, config) pair maps to a bitwise-reproducible embedding.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .geometry import unsatisfiable
 # batch_loss is unused here, but the benchmark's traced run patches it by this module's name
 from .losses import LossBatch, batch_gradient, batch_loss
 from .normalizer import NormalForm, NormalizedTheory
-from .ontology import TOP_ID
 
 logger = logging.getLogger(__name__)
 
@@ -199,7 +198,7 @@ def train(theory: NormalizedTheory, cfg: TrainConfig) -> tuple[EmbeddingSet, Los
     # minibatch sum to inf
     for form in NormalForm:
         rows = theory.handles(form)
-        bad = unsatisfiable(form, rows, TOP_ID)
+        bad = unsatisfiable(form, rows)
         if bad.any():
             text = form.format(rows[bad][:1], theory.names())[0]
             raise TrainingError(

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -192,8 +194,12 @@ def test_save_refuses_a_metadata_dim_that_is_not_the_tables(tmp_path, dim):
         (CLASS_NAMES + ["C"], REL_NAMES, 1, "5 class names for a 4-row table"),
         (CLASS_NAMES, [], 1, "0 relation names for a 1-row table"),
         (CLASS_NAMES, ["r", "r"], 2, "relation name 'r' is repeated"),
+        # json would write a key 3 as "3", and the name would not read back
+        (["Top", "Bot", 3, "B"], REL_NAMES, 1, "class name 3 is not a string"),
+        (CLASS_NAMES, [None], 1, "relation name None is not a string"),
     ],
-    ids=["repeated class", "fewer classes", "more classes", "fewer relations", "repeated relation"],
+    ids=["repeated class", "fewer classes", "more classes", "fewer relations", "repeated relation",
+         "non-string class", "non-string relation"],
 )
 def test_save_refuses_names_that_do_not_match_the_rows_one_to_one(
     tmp_path, class_names, relation_names, n_rels, why
@@ -203,6 +209,106 @@ def test_save_refuses_names_that_do_not_match_the_rows_one_to_one(
         save_checkpoint(path, sample_embeddings(n_rels=n_rels), class_names, relation_names, {})
     assert str(info.value) == f"cannot write checkpoint {path}: {why}"
     assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+
+
+@pytest.mark.parametrize(
+    "dim, class_names, why, load_why",
+    [
+        (0, CLASS_NAMES, "dim 0 is not a positive integer", "metadata dim 0 is not a positive integer"),
+        (2, ["Bot", "A", "B", "C"], "no 'Top' class", "no 'Top' class"),
+    ],
+    ids=["dim 0", "no Top"],
+)
+def test_save_refuses_a_table_set_that_load_refuses(tmp_path, dim, class_names, why, load_why):
+    e = sample_embeddings(dim=dim)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(path, e, class_names, REL_NAMES, {})
+    assert str(info.value) == f"cannot write checkpoint {path}: {why}"
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+    path.write_bytes(json_dump_bytes(e, class_names, REL_NAMES, {}))  # what save would have written
+    with pytest.raises(CheckpointError, match=f"checkpoint {re.escape(str(path))}: {load_why}$"):
+        load_checkpoint(path)
+
+
+def random_table_set(rng):
+    """Tables, names and metadata drawn at random, often with one thing a
+    checkpoint may not hold."""
+    dim, n_classes, n_rels = int(rng.integers(0, 4)), int(rng.integers(1, 6)), int(rng.integers(0, 3))
+    e = sample_embeddings(dim=dim, n_classes=n_classes, n_rels=n_rels, seed=int(rng.integers(1 << 30)))
+    e.class_radii[rng.random(n_classes) < 0.3] = -0.0
+    e.class_radii[rng.random(n_classes) < 0.2] = TOP_RADIUS
+    class_names = [f"C{i}" for i in range(n_classes)]
+    class_names[int(rng.integers(n_classes))] = "Top"  # anywhere, not only first
+    relation_names = [f"r{i}" for i in range(n_rels)]
+    fault = rng.integers(6)
+    if fault == 0 and n_classes > 1:
+        class_names[class_names.index("Top")] = "Bot"
+    elif fault == 1 and dim:
+        e.class_centers[rng.integers(n_classes), rng.integers(dim)] = np.nan
+    elif fault == 2:
+        e.class_radii[rng.integers(n_classes)] = -1e-3
+    elif fault == 3 and n_rels:
+        relation_names[-1] = relation_names[0] if n_rels > 1 else 7
+    return e, class_names, relation_names, {"seed": int(rng.integers(100)), "margin": float(rng.normal())}
+
+
+def test_load_reads_back_every_table_set_that_save_accepts(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "ckpt.json"
+    outcomes = Counter()
+    for _ in range(200):
+        e, class_names, relation_names, metadata = random_table_set(rng)
+        try:
+            save_checkpoint(path, e, class_names, relation_names, metadata)
+        except CheckpointError:
+            outcomes["refused"] += 1
+            assert not path.exists() and list(tmp_path.iterdir()) == []
+            continue
+        outcomes["saved"] += 1
+        ckpt = load_checkpoint(path)
+        for table in ("class_centers", "class_radii", "rel_vectors"):
+            got, want = getattr(ckpt.embeddings, table), getattr(e, table)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ckpt.class_names == class_names and ckpt.relation_names == relation_names
+        assert ckpt.metadata == {"dim": e.dim, **metadata}
+        path.unlink()
+    assert min(outcomes["saved"], outcomes["refused"]) > 40
+
+
+def test_an_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, sample_embeddings(seed=0), CLASS_NAMES, REL_NAMES, {})
+    before = path.read_bytes()
+
+    def interrupted(fh, names, bodies):
+        fh.write('{\n  "Top": ')
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dataio, "_write_json_object", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_checkpoint(path, sample_embeddings(seed=1), CLASS_NAMES, REL_NAMES, {})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temp file
+
+
+def test_a_loaded_checkpoint_follows_its_names_and_aligns_to_the_theory(tmp_path):
+    # a hand-made file may order its classes as it likes; the tables keep its
+    # order, and align_embeddings moves each row to the theory's handle
+    theory = normalize(eliminate_abox(parse_ontology("A < B\nB < r some A\n")))
+    order = ["B", "A", "Top", "Bot"]
+    e = sample_embeddings(n_classes=4)
+    e.class_radii[:] = [0.5, 0.25, TOP_RADIUS, 0.0]
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, e, order, ["r"], {})
+    ckpt = load_checkpoint(path)
+    assert ckpt.embeddings.top == 0 and ckpt.class_names == order
+    assert ckpt.embeddings.class_radii.tolist() == e.class_radii.tolist()
+    aligned = cli.align_embeddings(ckpt, theory)
+    rows = [order.index(name) for name in theory.classes]
+    assert aligned.class_centers.tolist() == e.class_centers[rows].tolist()
+    assert aligned.class_radii.tolist() == e.class_radii[rows].tolist()
+    assert aligned.class_radii[aligned.top] == TOP_RADIUS
 
 
 NON_FINITE = [
@@ -377,6 +483,17 @@ class TestTsvParsing:
         path.write_text("P1\tP2\t900\nP3 P4 800\n")
         with pytest.raises(DataError, match=":2:"):
             read_pairs_tsv(path)
+
+    def test_a_line_that_is_not_utf8_names_its_line(self, tmp_path):
+        # text mode decodes in chunks, and a bad byte this far in once surfaced
+        # while an earlier line was the last one read; \r\n and \r each end a line
+        rows = [f"P{i}\tP{i + 1}\t900" for i in range(1000)]
+        text = "\r\n".join(rows[:2]) + "\r" + "\n".join(rows[2:]) + "\n"
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(text.encode() + b"P\xff\tP0\t900\nP1\tP2\t900\n")
+        with pytest.raises(DataError) as info:
+            read_pairs_tsv(path)
+        assert str(info.value) == f"{path}:1001: not UTF-8 text"
 
     def test_non_numeric_confidence(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -872,6 +989,30 @@ def test_console_exit_status_tells_bad_input_from_a_violated_model(
         assert done.stderr.splitlines() == [f"elball: {message}"]
     assert not (tmp_path / "data").exists()
 
+    # text that is not UTF-8 is bad input, named by path and line, for check too
+    bad.write_bytes(b"A < B\nC < D\xff\n")
+    for argv in [("normalize", str(bad)), ("check", str(bad), str(family_ckpt))]:
+        done = run_console(*argv)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"elball: {bad}: line 2: not UTF-8 text"]
+    pairs.write_bytes(pairs.read_bytes() + b"P1\tP\xe9\t900\n")
+    done = run_console("ingest", "--pairs", str(pairs), "--annotations", str(annots),
+                       "--out-dir", str(tmp_path / "data"))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"elball: {pairs}:12: not UTF-8 text"]
+    assert not (tmp_path / "data").exists()
+
+    # a lone \r ends no line: the parser refuses it, as parse_ontology does
+    bad.write_bytes(b"A < B\rC < D\n")
+    done = run_console("normalize", str(bad))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"elball: {bad}: line 1, column 6: unexpected character '\\r'"]
+    # while \r\n still ends one, as in parse_ontology
+    bad.write_bytes(b"A < B\r\nC < D\r\n")
+    out = tmp_path / "crlf.txt"
+    assert cli.main(["normalize", str(bad), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[:3] == ["# NF1", "A < B", "C < D"]
+
 
 def test_console_ingest_writes_an_ontology_that_normalize_and_train_read(tmp_path):
     pairs, annots = tmp_path / "pairs.tsv", tmp_path / "annots.tsv"
@@ -1063,6 +1204,45 @@ def test_a_long_flat_conjunction_normalizes(tmp_path, capsys):
     for form in NormalForm:
         lines += [f"# {form.value}", *form.format(direct.handles(form), direct.names())]
     assert out.read_text().splitlines() == lines
+
+
+def text_opens_without_encoding(tree: ast.AST) -> list[int]:
+    """Lines of the text-mode open, os.fdopen, read_text and write_text calls
+    that pass no ``encoding=``: those read and write the locale's encoding."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or any(kw.arg == "encoding" for kw in node.keywords):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "open") or getattr(func, "attr", None) == "fdopen":
+            at = 1  # open(path, mode), os.fdopen(fd, mode)
+        elif getattr(func, "attr", None) == "open" and getattr(func.value, "id", None) != "os":
+            at = 0  # Path.open(mode); os.open makes a descriptor and has no text mode
+        elif getattr(func, "attr", None) in ("read_text", "write_text"):
+            at = None
+        else:
+            continue
+        mode = node.args[at] if at is not None and len(node.args) > at else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+        if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_mode_open_in_the_package_names_its_encoding():
+    assert text_opens_without_encoding(ast.parse(
+        "open(p)\nopen(p, 'w')\nopen(p, mode='a')\nopen(p, m)\nos.fdopen(fd, 'w')\n"
+        "Path(p).open()\np.read_text()\np.write_text(t)\n"
+        "open(p, 'rb')\nos.fdopen(fd, 'wb')\nos.open(p, flags)\np.open('rb')\n"
+        "open(p, encoding='utf-8')\np.write_text(t, encoding='utf-8')\n"
+    )) == [1, 2, 3, 4, 5, 6, 7, 8]
+    src = Path(__file__).resolve().parents[1] / "src" / "elball"
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in text_opens_without_encoding(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
 
 
 IMPORTED_PACKAGES = """

@@ -38,6 +38,11 @@ class TestContainmentViolation:
         with pytest.raises(GeometryError):
             containment_violation(ball(0, 0, 1), Ball(np.zeros(3), 1.0))
 
+    def test_negative_radius_refused(self):
+        with pytest.raises(GeometryError, match="^negative radius -0.5$"):
+            ball(0, 0, -0.5)
+        assert ball(0, 0, -0.0).radius == 0.0  # -0.0 is no negative radius
+
     def test_zero_exactly_on_constructed_contained_pairs(self, rng):
         for _ in range(200):
             outer = Ball(rng.normal(0, 1, 3), rng.uniform(0.5, 2.0))

@@ -175,6 +175,8 @@ def test_classify_normal_forms():
         "A < Bot\n"
         "r some A < Bot\n"
         "A and B < C\n"
+        "r(a, b)\n"  # assertions are no GCIs, so in no normal form
+        "{a} : A\n"
     )
     tags = [classify_axiom(a) for a in onto.axioms]
     assert tags == [
@@ -186,6 +188,8 @@ def test_classify_normal_forms():
         NormalForm.BOT1,
         NormalForm.BOT4,
         NormalForm.NF2,
+        None,
+        None,
     ]
 
 

@@ -12,6 +12,7 @@ from elball.ontology import (
     Instantiation,
     Nominal,
     Ontology,
+    OntologyError,
     ParseError,
     RoleAssertion,
     TOP,
@@ -103,6 +104,13 @@ def test_interning_is_stable():
     a1 = onto.axioms[0].sub
     a2 = onto.axioms[1].sub
     assert a1 == a2
+
+
+def test_an_unknown_name_has_no_handle():
+    onto = parse_ontology("A < B\n")
+    assert onto.classes.id("B") == 3
+    with pytest.raises(OntologyError, match="^unknown symbol 'C'$"):
+        onto.classes.id("C")
 
 
 def atomic_nodes(concepts) -> dict[int, set[int]]:
