@@ -64,17 +64,11 @@ def save_checkpoint(
         raise CheckpointError(
             f"cannot write checkpoint {path}: metadata dim {dim!r} is not the tables' dim {e.dim}"
         )
-    bad = _invalid(e, class_names, relation_names)
+    metadata = {"dim": e.dim, **metadata}
+    bad = _invalid(e, class_names, relation_names) or _unsaved(metadata)
     if bad is not None:
         raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
-    try:
-        head = json.dumps(
-            {"version": CHECKPOINT_VERSION, "metadata": {"dim": e.dim, **metadata}},
-            indent=1,
-            allow_nan=False,
-        )
-    except ValueError:  # allow_nan=False refused a NaN or ±inf
-        raise CheckpointError(f"cannot write checkpoint {path}: metadata holds a NaN or ±inf") from None
+    head = json.dumps({"version": CHECKPOINT_VERSION, "metadata": metadata}, indent=1)
     classes = (
         f'{{\n   "center": {_json_floats(center, 4)},\n   "radius": {radius!r}\n  }}'
         for center, radius in zip(e.class_centers.tolist(), e.class_radii.tolist())
@@ -94,6 +88,19 @@ def save_checkpoint(
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _unsaved(metadata: dict) -> str | None:
+    """Why json cannot write ``metadata`` so that it loads back equal, or None."""
+    for key, value in metadata.items():
+        try:
+            back = json.loads(json.dumps({key: value}, allow_nan=False))
+        except (TypeError, ValueError) as exc:  # allow_nan=False refuses a NaN or ±inf
+            why = "a NaN or ±inf" if "Out of range" in str(exc) else f"a value json cannot write ({exc})"
+            return f"metadata holds {why} at key {key!r}"
+        if back != {key: value}:  # a key that is not a string, a tuple, ...
+            return f"metadata key {key!r} would load back as {back}"
+    return None
 
 
 def _json_floats(values: list[float], indent: int) -> str:

@@ -202,6 +202,13 @@ def _stacked(score_fn: ScoreFn, heads: Sequence, rel, tails: list, row, col):
             yield start, stop, scores[rows] >= scores[rows, col[start:stop], None]
 
 
+def _copies(flat: np.ndarray, run_start: np.ndarray, n_run: np.ndarray, key: np.ndarray):
+    """(q, flat[run_start[key[q]] : run_start[key[q]] + n_run[key[q]]]) for every q, concatenated."""
+    n = n_run[key]
+    q = np.repeat(np.arange(len(key)), n)
+    return q, flat[np.arange(len(q)) + np.repeat(run_start[key] - (np.cumsum(n) - n), n)]
+
+
 def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, known: dict):
     """Raw rank, filtered rank and filtered pool size of each query (heads[q], rel, tails[q]).
 
@@ -210,7 +217,9 @@ def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, 
     Ranks are pessimistic: 1 + the pool positions holding another tail
     that score at least the true tail. Filtering also drops every position
     of the tails in ``known[head, rel]`` except those of the true tail
-    itself; those positions are found once per head.
+    itself; those positions are found once per head. Both the true tail's
+    and the dropped positions are listed per query, so a block clears the
+    one and counts the other by position, and counts each row once.
     """
     where: dict[Hashable, list[int]] = {}
     for i, t in enumerate(pool):
@@ -224,26 +233,28 @@ def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, 
     row = np.fromiter((row_of.setdefault(h, len(row_of)) for h in heads), np.intp, len(heads))
     order = np.argsort(row, kind="stable")  # the queries regrouped by head, in head order
     row, col = row[order], col[order]
+    # every pool position holding each query's true tail, from runs of equal `first`
+    n_same = np.bincount(first, minlength=len(pool))
+    self_q, self_col = _copies(np.argsort(first, kind="stable"), np.cumsum(n_same) - n_same, n_same, col)
     # the pool positions of each head's known tails, one run per head; each
     # query copies its head's run, then takes its true tail's positions out
     known_at = [[i for x in known.get((h, rel), ()) for i in where.get(x, ())] for h in row_of]
     n_known = np.fromiter(map(len, known_at), np.intp, len(known_at))
     flat = np.fromiter(chain.from_iterable(known_at), np.intp, int(n_known.sum()))
-    n_copied = n_known[row]
-    drop_q = np.repeat(np.arange(len(row)), n_copied)
-    run_start, copy_start = np.cumsum(n_known) - n_known, np.cumsum(n_copied) - n_copied
-    drop_col = flat[np.arange(len(drop_q)) + np.repeat(run_start[row] - copy_start, n_copied)]
+    drop_q, drop_col = _copies(flat, np.cumsum(n_known) - n_known, n_known, row)
     kept = first[drop_col] != col[drop_q]
     drop_q, drop_col = drop_q[kept], drop_col[kept]
     n_dropped = np.bincount(drop_q, minlength=len(row))
+    count = np.uint16 if len(pool) < 1 << 16 else np.uint32  # a row's count fits, and sums fast
     raw, filt = np.empty((2, len(heads)), dtype=np.intp)
     screen = getattr(score_fn, "ahead", None) or (lambda *args: _stacked(score_fn, *args))
     for start, stop, ahead in screen(list(row_of), rel, pool, row, col):
-        ahead &= first != col[start:stop, None]  # the self-mask, over every copy of the true tail
-        raw[start:stop] = np.count_nonzero(ahead, axis=1)
+        a, b = np.searchsorted(self_q, (start, stop))
+        ahead[self_q[a:b] - start, self_col[a:b]] = False
+        raw[start:stop] = np.add.reduce(ahead.view(np.uint8), axis=1, dtype=count)
         a, b = np.searchsorted(drop_q, (start, stop))
-        ahead[drop_q[a:b] - start, drop_col[a:b]] = False
-        filt[start:stop] = np.count_nonzero(ahead, axis=1)
+        q, j = drop_q[a:b] - start, drop_col[a:b]
+        filt[start:stop] = raw[start:stop] - np.bincount(q[ahead[q, j]], minlength=stop - start)
     out = np.empty((3, len(heads)), dtype=np.intp)  # scattered back to query order
     out[:, order] = 1 + raw, 1 + filt, len(pool) - n_dropped
     return out

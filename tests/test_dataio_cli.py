@@ -171,6 +171,29 @@ def test_save_refuses_a_non_finite_metadata_value(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
 
 
+@pytest.mark.parametrize(
+    "metadata, why",
+    [
+        ({3: 1}, "metadata key 3 would load back as {'3': 1}"),
+        ({"pair": (1, 2)}, "metadata key 'pair' would load back as {'pair': [1, 2]}"),
+        ({"seed": 7, "nested": {"a": {True: 1}}},
+         "metadata key 'nested' would load back as {'nested': {'a': {'true': 1}}}"),
+        ({"seed": np.int64(3)}, "metadata holds a value json cannot write (*int64*) at key 'seed'"),
+        ({"tags": {"a"}}, "metadata holds a value json cannot write (*set*) at key 'tags'"),
+        ({"trace": [0.5, [math.inf]]}, "metadata holds a NaN or ±inf at key 'trace'"),
+    ],
+    ids=["int key", "tuple", "nested bool key", "numpy int", "set", "nested inf"],
+)
+def test_save_refuses_metadata_that_would_not_load_back_equal(tmp_path, metadata, why):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, metadata)
+    # json's own words for a value it cannot write stand in for each "*"
+    pattern = ".*".join(map(re.escape, f"cannot write checkpoint {path}: {why}".split("*")))
+    assert re.fullmatch(pattern, str(info.value)), str(info.value)
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no temp file
+
+
 @pytest.mark.parametrize("dim", [3, 2.0])
 def test_save_refuses_a_metadata_dim_that_is_not_the_tables(tmp_path, dim):
     path = tmp_path / "ckpt.json"

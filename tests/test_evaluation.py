@@ -327,6 +327,41 @@ def test_oracle_agreement_when_heads_share_their_known_tails(seed):
     assert ranking_report(split, fn) == brute_force_report(split, fn)
 
 
+def wide_pool_instance():
+    """2^16 + 3 pool positions over tails C1..C(2^16 + 1), so a row's count needs
+    32 bits: head C1's true tail C2 is listed twice more and is also known for C1.
+    Head C1 ties with every tail, so its raw rank is the whole pool."""
+    n = (1 << 16) + 2
+    names = [f"C{i}" for i in range(n)]
+    pool = names[1:] + ["C2", "C2"]
+    test = [("C1", "r", "C2"), ("C1", "r", "C9"), ("C3", "r", "C2"), ("C4", "r", f"C{n - 1}")]
+    train = [("C1", "r", "C2"), ("C1", "r", "C5"), ("C3", "r", "C9")]
+    return LinkSplit(train=train, test=test, candidates={"r": pool}), names
+
+
+@pytest.mark.parametrize("scorer", ["embedding", "ties"])
+def test_oracle_agreement_on_a_pool_too_wide_for_16_bit_counts(scorer):
+    rng = np.random.default_rng(4)
+    split, names = wide_pool_instance()
+    assert len(split.candidates["r"]) == (1 << 16) + 3
+    if scorer == "embedding":
+        n = len(names)
+        radii = rng.uniform(0, 0.5, n)
+        radii[1] = 1e6  # C1's ball holds every tail: all score 0
+        e = embed(rng.normal(0, 1, (n, 2)), radii, rng.normal(0, 1, (1, 2)))
+        fn = embedding_score_fn(e, {name: i for i, name in enumerate(names)}, {"r": 0}, gamma=0.1)
+        rows = {h: dict(zip(names, fn(h, "r", names))) for h, _, _ in split.test}
+        exact = lambda h, r, ts: np.asarray([rows[h][t] for t in ts])  # fn's own rows, per tail
+    else:
+        table = {h: dict(zip(names, rng.integers(0, 3, len(names)).astype(float)))
+                 for h, _, _ in split.test}
+        table["C1"] = dict.fromkeys(names, 0.0)
+        fn = exact = lambda h, r, ts: np.asarray([table[h][t] for t in ts])
+    report = ranking_report(split, fn)
+    assert report == brute_force_report(split, exact)
+    assert report.raw_mean_rank > (1 << 16) / len(split.test)  # C1's first query ranks last
+
+
 def test_filtered_never_worse_than_raw(rng):
     for _ in range(20):
         split, fn = random_instance(rng)
@@ -426,6 +461,20 @@ def test_true_tail_missing_from_pool_raises():
     split = LinkSplit(test=test, candidates={"r": ["C2", "C3"]})
     with pytest.raises(EvaluationError, match="'C5' not among candidates"):
         ranking_report(split, fn)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=EvaluationError,
+    reason="LinkSplit.candidate_tails keeps each pool it derives in split.candidates, so a "
+    "test triple added after one ranking_report is not among the next call's candidates",
+)
+def test_a_derived_pool_follows_the_split_it_was_derived_from():
+    split = LinkSplit(train=[("a", "r", "b"), ("a", "r", "c")], test=[("a", "r", "c")])
+    fn = const_scores({"c": -0.5}, default=-1.0)
+    ranking_report(split, fn)
+    split.test.append(("b", "r", "d"))
+    assert ranking_report(split, fn) == brute_force_report(LinkSplit(split.train, [], split.test), fn)
 
 
 def test_entity_index():
