@@ -142,10 +142,15 @@ embedding_score_fn = EmbeddingScorer  # (e, class_index, rel_index, gamma) -> sc
 
 @dataclass
 class LinkSplit:
-    """Disjoint train/valid/test triple lists plus the candidate tail pool.
+    """Disjoint train/valid/test triple lists plus the given candidate tail pools.
 
-    When ``candidates`` is empty it is derived per relation as every tail
-    of that relation across all three splits.
+    A relation with no pool in ``candidates`` ranks against its derived pool:
+    every tail it has across the three lists, first seen first. ``ranking_report``
+    keeps derived pools in its plans, never in ``candidates``, so they follow the
+    lists. It keeps the plans on the instance, outside the fields (``==``,
+    ``repr``, ``asdict`` and ``replace`` do not see them), with copies of the three
+    lists and of each given pool it ranked against, and a later call reuses them
+    while all of these compare ``==`` to the copies.
     """
 
     train: list[Triple] = field(default_factory=list)
@@ -154,10 +159,18 @@ class LinkSplit:
     candidates: dict[Hashable, list[Hashable]] = field(default_factory=dict)
 
     def candidate_tails(self, rel) -> list[Hashable]:
+        """The given pool of ``rel``, or else its derived pool, stored in ``candidates``
+        so that a repeat call is one lookup. A pool stored here is a given pool from
+        then on: it does not follow later edits to the triples."""
         if rel not in self.candidates:
-            triples = chain(self.train, self.valid, self.test)
-            self.candidates[rel] = list(dict.fromkeys(t for _, r, t in triples if r == rel))
+            self.candidates[rel] = _derived_pool(self, rel)
         return self.candidates[rel]
+
+
+def _derived_pool(split: LinkSplit, rel) -> list[Hashable]:
+    """Every tail of ``rel`` across the split's train, valid and test triples, first seen first."""
+    triples = chain(split.train, split.valid, split.test)
+    return list(dict.fromkeys(t for _, r, t in triples if r == rel))
 
 
 @dataclass
@@ -187,19 +200,32 @@ class RankingReport:
 
 
 def _stacked(score_fn: ScoreFn, heads: Sequence, rel, tails: list, row, col):
-    """``ahead`` for a plain score function: its rows fill one reused buffer and are compared."""
+    """``ahead`` for a plain score function: its rows fill one reused buffer and are compared.
+
+    A row that is not one score per tail, a scalar included, is refused rather than broadcast."""
     step = max(1, _BLOCK // max(1, len(tails)))
     buf = np.empty((min(step, len(heads)), len(tails)))
     for top in range(0, len(heads), step):
         chunk = heads[top : top + step]
         scores = buf[: len(chunk)]
         for scored, head in zip(scores, chunk):
-            scored[:] = score_fn(head, rel, tails)
+            got = score_fn(head, rel, tails)
+            if np.shape(got) != scored.shape:
+                raise _malformed(got, head, rel, len(tails))
+            scored[:] = got
         lo, hi = np.searchsorted(row, (top, top + len(scores)))
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             rows = row[start:stop] - top
             yield start, stop, scores[rows] >= scores[rows, col[start:stop], None]
+
+
+def _malformed(got, head, rel, n: int) -> EvaluationError:
+    shape = np.shape(got)
+    what = "a scalar" if not shape else f"{shape[0]} scores" if len(shape) == 1 else f"shape {shape}"
+    return EvaluationError(
+        f"score function gave {what} for head {head!r} and relation {rel!r}, not a row of {n} scores"
+    )
 
 
 def _copies(flat: np.ndarray, run_start: np.ndarray, n_run: np.ndarray, key: np.ndarray):
@@ -209,17 +235,36 @@ def _copies(flat: np.ndarray, run_start: np.ndarray, n_run: np.ndarray, key: np.
     return q, flat[np.arange(len(q)) + np.repeat(run_start[key] - (np.cumsum(n) - n), n)]
 
 
-def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, known: dict):
-    """Raw rank, filtered rank and filtered pool size of each query (heads[q], rel, tails[q]).
+@dataclass
+class _Plan:
+    """What ranking one relation's queries needs besides scores, from ``_plan``.
 
-    Each distinct head is scored once, and its queries are ranked against
-    its row, so scoring costs distinct heads × pool, not queries × pool.
-    Ranks are pessimistic: 1 + the pool positions holding another tail
-    that score at least the true tail. Filtering also drops every position
-    of the tails in ``known[head, rel]`` except those of the true tail
-    itself; those positions are found once per head. Both the true tail's
-    and the dropped positions are listed per query, so a block clears the
-    one and counts the other by position, and counts each row once.
+    The queries are regrouped by head: query q asks for ``pool[col[q]]`` of head
+    ``heads[row[q]]``, and is ``split.test[at[q]]``. The pool positions of every copy
+    of its true tail are ``self_col[self_q == q]``; those its filter drops are
+    ``drop_col[drop_q == q]``, and ``n_f[q]`` positions remain.
+    """
+
+    pool: list
+    given: bool  # the pool is split.candidates[rel], not derived
+    heads: list
+    at: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    self_q: np.ndarray
+    self_col: np.ndarray
+    drop_q: np.ndarray
+    drop_col: np.ndarray
+    n_f: np.ndarray
+
+
+def _plan(queries: list, heads: Sequence, tails: Sequence, rel, pool: list, given: bool, known):
+    """The ``_Plan`` of the queries (heads[q], rel, tails[q]), ``split.test[queries[q]]``.
+
+    Each distinct head gets one row, so scoring costs distinct heads × pool,
+    not queries × pool. Filtering drops every position of the tails in
+    ``known[head, rel]`` except those of the true tail itself; those
+    positions are found once per head.
     """
     where: dict[Hashable, list[int]] = {}
     for i, t in enumerate(pool):
@@ -245,19 +290,74 @@ def _rank(score_fn: ScoreFn, heads: Sequence, rel, tails: Sequence, pool: list, 
     kept = first[drop_col] != col[drop_q]
     drop_q, drop_col = drop_q[kept], drop_col[kept]
     n_dropped = np.bincount(drop_q, minlength=len(row))
-    count = np.uint16 if len(pool) < 1 << 16 else np.uint32  # a row's count fits, and sums fast
-    raw, filt = np.empty((2, len(heads)), dtype=np.intp)
+    at = np.asarray(queries, dtype=np.intp)[order]
+    return _Plan(pool, given, list(row_of), at, row, col, self_q, self_col, drop_q, drop_col,
+                 len(pool) - n_dropped)
+
+
+def _count(score_fn: ScoreFn, rel, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered rank of each of ``plan``'s queries, in its order: the part that scores.
+
+    Ranks are pessimistic: 1 + the pool positions holding another tail that
+    score at least the true tail. A block clears the true tail's positions
+    and counts each row once; the filtered rank takes the dropped positions
+    that rank ahead out of the raw count.
+    """
+    count = np.uint16 if len(plan.pool) < 1 << 16 else np.uint32  # a row's count fits, and sums fast
+    raw, filt = np.empty((2, len(plan.row)), dtype=np.intp)
+    self_q, self_col, drop_q, drop_col = plan.self_q, plan.self_col, plan.drop_q, plan.drop_col
     screen = getattr(score_fn, "ahead", None) or (lambda *args: _stacked(score_fn, *args))
-    for start, stop, ahead in screen(list(row_of), rel, pool, row, col):
+    for start, stop, ahead in screen(plan.heads, rel, plan.pool, plan.row, plan.col):
         a, b = np.searchsorted(self_q, (start, stop))
         ahead[self_q[a:b] - start, self_col[a:b]] = False
         raw[start:stop] = np.add.reduce(ahead.view(np.uint8), axis=1, dtype=count)
         a, b = np.searchsorted(drop_q, (start, stop))
         q, j = drop_q[a:b] - start, drop_col[a:b]
         filt[start:stop] = raw[start:stop] - np.bincount(q[ahead[q, j]], minlength=stop - start)
-    out = np.empty((3, len(heads)), dtype=np.intp)  # scattered back to query order
-    out[:, order] = 1 + raw, 1 + filt, len(pool) - n_dropped
-    return out
+    return 1 + raw, 1 + filt
+
+
+class _Plans:
+    """The plans of a split's test queries by relation, with copies of what they were built from.
+
+    ``fits`` holds while the split's lists, and the given pool of each queried
+    relation, compare ``==`` to the copies; ``==`` on lists tests identity first,
+    so an unchanged split costs one pointer comparison per triple.
+    """
+
+    def __init__(self, split: LinkSplit):
+        self.train, self.valid, self.test = list(split.train), list(split.valid), list(split.test)
+        known: dict[tuple, set] = {}
+        by_rel: dict = {}
+        for q, (h, r, t) in enumerate(split.test):
+            by_rel.setdefault(r, []).append(q)
+            known.setdefault((h, r), set())
+        queried = {h for h, _ in known}
+        for h, r, t in chain(split.train, split.valid):
+            if h in queried and (wanted := known.get((h, r))) is not None:
+                wanted.add(t)
+
+        # per query in split.test order: raw pool, filtered pool
+        self.n, self.n_f = np.empty((2, len(split.test)), dtype=np.intp)
+        self.by_rel: dict[Hashable, _Plan] = {}
+        for r, queries in by_rel.items():
+            heads, _, tails = zip(*map(split.test.__getitem__, queries))
+            given = r in split.candidates
+            pool = list(split.candidates[r]) if given else _derived_pool(split, r)
+            plan = self.by_rel[r] = _plan(queries, heads, tails, r, pool, given, known)
+            self.n[plan.at], self.n_f[plan.at] = len(pool), plan.n_f
+
+    def fits(self, split: LinkSplit) -> bool:
+        if not (split.test == self.test and split.train == self.train and split.valid == self.valid):
+            return False
+        for r, plan in self.by_rel.items():
+            pool = split.candidates.get(r)
+            if pool is None:  # derived now: equal lists derive it equal
+                if plan.given:
+                    return False
+            elif (pool if type(pool) is list else list(pool)) != plan.pool:
+                return False
+        return True
 
 
 def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
@@ -269,27 +369,21 @@ def ranking_report(split: LinkSplit, score_fn: ScoreFn) -> RankingReport:
     validation tails for the same (head, relation); other test triples
     are not excluded. Only the queried (head, relation) keys are indexed,
     so the filter costs one membership test per train or valid triple.
+    That filter, the pools and the positions are planned once and kept on
+    ``split`` (see ``LinkSplit``), so a later call on an unchanged split,
+    with this or another score function, only scores and counts.
     """
     if not split.test:
         raise EvaluationError("empty test set")
+    plans = getattr(split, "_plans", None)
+    if plans is None or not plans.fits(split):
+        plans = split._plans = _Plans(split)
 
-    known: dict[tuple, set] = {}
-    by_rel: dict = {}
-    for q, (h, r, t) in enumerate(split.test):
-        by_rel.setdefault(r, []).append(q)
-        known.setdefault((h, r), set())
-    queried = {h for h, _ in known}
-    for h, r, t in chain(split.train, split.valid):
-        if h in queried and (wanted := known.get((h, r))) is not None:
-            wanted.add(t)
-
-    # per query in split.test order: raw rank, raw pool, filtered rank, filtered pool
-    raw, n, filt, n_f = np.empty((4, len(split.test)), dtype=np.intp)
-    for r, queries in by_rel.items():
-        heads, _, tails = zip(*map(split.test.__getitem__, queries))
-        pool = list(split.candidate_tails(r))
-        raw[queries], filt[queries], n_f[queries] = _rank(score_fn, heads, r, tails, pool, known)
-        n[queries] = len(pool)
+    # per query in split.test order: raw rank, filtered rank
+    raw, filt = np.empty((2, len(split.test)), dtype=np.intp)
+    for r, plan in plans.by_rel.items():
+        raw[plan.at], filt[plan.at] = _count(score_fn, r, plan)
+    n, n_f = plans.n, plans.n_f
 
     def auc(rank, n):
         return np.divide(n - rank, n - 1, out=np.ones(len(n)), where=n > 1)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import re
 import warnings
@@ -463,18 +465,135 @@ def test_true_tail_missing_from_pool_raises():
         ranking_report(split, fn)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=EvaluationError,
-    reason="LinkSplit.candidate_tails keeps each pool it derives in split.candidates, so a "
-    "test triple added after one ranking_report is not among the next call's candidates",
-)
 def test_a_derived_pool_follows_the_split_it_was_derived_from():
     split = LinkSplit(train=[("a", "r", "b"), ("a", "r", "c")], test=[("a", "r", "c")])
     fn = const_scores({"c": -0.5}, default=-1.0)
     ranking_report(split, fn)
     split.test.append(("b", "r", "d"))
     assert ranking_report(split, fn) == brute_force_report(LinkSplit(split.train, [], split.test), fn)
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [(lambda n: 0.5, "a scalar"), (lambda n: np.zeros(n - 1), "4 scores"),
+     (lambda n: list(range(n + 1)), "6 scores"), (lambda n: np.zeros((1, n)), r"shape \(1, 5\)")],
+    ids=["scalar", "short", "long", "2-d"],
+)
+def test_a_malformed_score_row_is_refused(row, what):
+    split = LinkSplit(test=[("a", "r", "b")], candidates={"r": list("bcdef")})
+    message = f"gave {what} for head 'a' and relation 'r', not a row of 5 scores"
+    with pytest.raises(EvaluationError, match=message):
+        ranking_report(split, lambda h, r, tails: row(len(tails)))
+
+
+# --- plans kept on the split ------------------------------------------------
+
+MEMO_SCORES = const_scores({f"t{i}": float(6 - i) for i in range(6)} | {"t6": 7.0})
+
+
+def memo_split():
+    """Pool "r" derived, [t0, t1, t4, t5, t3]; pool "s" given. (h, r, t3) ranks 3rd raw and
+    1st filtered; (g, s, t2) ranks 3rd both ways. Each edit below changes the report."""
+    return LinkSplit(
+        train=[("h", "r", "t0"), ("h", "r", "t1"), ("g", "r", "t4")],
+        valid=[("g", "r", "t5")],
+        test=[("h", "r", "t3"), ("g", "s", "t2")],
+        candidates={"s": ["t0", "t1", "t2", "t3"]},
+    )
+
+
+def _set(items, i, value):
+    items[i] = value
+
+
+MEMO_EDITS = {
+    "append to train": lambda s: s.train.append(("g", "s", "t0")),
+    "replace a train triple": lambda s: _set(s.train, 0, ("x", "r", "t0")),
+    "append to valid": lambda s: s.valid.append(("g", "s", "t1")),
+    "replace a valid triple": lambda s: _set(s.valid, 0, ("g", "s", "t1")),
+    "append to test": lambda s: s.test.append(("h", "r", "t6")),
+    "replace a test triple": lambda s: _set(s.test, 0, ("h", "r", "t4")),
+    "extend a given pool in place": lambda s: s.candidates["s"].extend(["t6"]),
+    "add a pool": lambda s: _set(s.candidates, "r", ["t3", "t0"]),
+    "replace a pool": lambda s: _set(s.candidates, "s", ["t2", "t3"]),
+    "drop a given pool": lambda s: s.candidates.pop("s"),
+}
+
+
+@pytest.mark.parametrize("edit", list(MEMO_EDITS))
+def test_a_report_after_an_edit_in_place_follows_the_edit(edit):
+    split = memo_split()
+    before = ranking_report(split, MEMO_SCORES)
+    assert before == brute_force_report(memo_split(), MEMO_SCORES)
+    MEMO_EDITS[edit](split)
+    # the oracle stores the pools it derives, so it reads a copy of the edited split
+    expect = brute_force_report(dataclasses.replace(split, candidates=dict(split.candidates)), MEMO_SCORES)
+    assert expect != before
+    assert ranking_report(split, MEMO_SCORES) == expect
+    assert ranking_report(split, MEMO_SCORES) == expect
+
+
+class Watched(list):
+    """A list that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_an_equal_pool_given_later_keeps_the_plans():
+    split = memo_split()
+    ranking_report(split, MEMO_SCORES)
+    split.candidate_tails("r")  # the derived pool, now given
+    split.train = Watched(split.train)
+    ranking_report(split, MEMO_SCORES)
+    assert split.train.iterations == 0
+
+
+@pytest.mark.parametrize("kind", [tuple, np.array])
+def test_a_given_pool_of_another_sequence_type_is_compared_as_a_list(kind):
+    split = memo_split()
+    split.candidates["s"] = kind(split.candidates["s"])
+    first = ranking_report(split, MEMO_SCORES)
+    assert first == brute_force_report(memo_split(), MEMO_SCORES)
+    split.train = Watched(split.train)
+    assert ranking_report(split, MEMO_SCORES) == first
+    assert split.train.iterations == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_scorers_on_one_split_equal_fresh_splits(seed):
+    rng = np.random.default_rng(seed)
+    e, names, rels = block_tables(rng)
+    embedding = embedding_score_fn(e, names, rels, gamma=0.05)
+    split = block_instance(rng)
+    table = {(h, t): float(rng.integers(0, 3)) for h in names for t in names}  # tie-heavy
+    plain = lambda h, r, ts: np.asarray([table[h, t] for t in ts])  # noqa: E731
+    fresh = {fn: ranking_report(copy.deepcopy(split), fn) for fn in (embedding, plain)}
+    for fn in (embedding, plain, plain, embedding, plain):
+        assert ranking_report(split, fn) == fresh[fn]
+    assert fresh[embedding] != fresh[plain]
+
+
+def test_the_plans_are_not_part_of_the_split():
+    split, twin = memo_split(), memo_split()
+    ranking_report(split, MEMO_SCORES)
+    assert split == twin
+    assert repr(split) == repr(twin)
+    assert dataclasses.asdict(split) == dataclasses.asdict(twin)
+    assert vars(dataclasses.replace(split)).keys() == vars(twin).keys()
+
+
+def test_a_warm_report_does_not_read_the_triples():
+    split = memo_split()
+    split.train, split.valid = Watched(split.train), Watched(split.valid)
+    first = ranking_report(split, MEMO_SCORES)
+    assert split.train.iterations > 0 and split.valid.iterations > 0
+    split.train.iterations = split.valid.iterations = 0
+    assert ranking_report(split, MEMO_SCORES) == first
+    assert split.train.iterations == split.valid.iterations == 0
 
 
 def test_entity_index():
