@@ -209,23 +209,18 @@ def _stacked(score_fn: ScoreFn, heads: Sequence, rel, tails: list, row, col):
         chunk = heads[top : top + step]
         scores = buf[: len(chunk)]
         for scored, head in zip(scores, chunk):
-            got = score_fn(head, rel, tails)
-            if np.shape(got) != scored.shape:
-                raise _malformed(got, head, rel, len(tails))
+            got = np.asarray(score_fn(head, rel, tails))
+            if got.shape != scored.shape:
+                raise EvaluationError(
+                    f"score function gave shape {got.shape} for head {head!r} and relation "
+                    f"{rel!r}, not {scored.shape}"
+                )
             scored[:] = got
         lo, hi = np.searchsorted(row, (top, top + len(scores)))
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             rows = row[start:stop] - top
             yield start, stop, scores[rows] >= scores[rows, col[start:stop], None]
-
-
-def _malformed(got, head, rel, n: int) -> EvaluationError:
-    shape = np.shape(got)
-    what = "a scalar" if not shape else f"{shape[0]} scores" if len(shape) == 1 else f"shape {shape}"
-    return EvaluationError(
-        f"score function gave {what} for head {head!r} and relation {rel!r}, not a row of {n} scores"
-    )
 
 
 def _copies(flat: np.ndarray, run_start: np.ndarray, n_run: np.ndarray, key: np.ndarray):

@@ -474,15 +474,15 @@ def test_a_derived_pool_follows_the_split_it_was_derived_from():
 
 
 @pytest.mark.parametrize(
-    "row, what",
-    [(lambda n: 0.5, "a scalar"), (lambda n: np.zeros(n - 1), "4 scores"),
-     (lambda n: list(range(n + 1)), "6 scores"), (lambda n: np.zeros((1, n)), r"shape \(1, 5\)")],
+    "row, shape",
+    [(lambda n: 0.5, "()"), (lambda n: np.zeros(n - 1), "(4,)"),
+     (lambda n: list(range(n + 1)), "(6,)"), (lambda n: np.zeros((1, n)), "(1, 5)")],
     ids=["scalar", "short", "long", "2-d"],
 )
-def test_a_malformed_score_row_is_refused(row, what):
+def test_a_malformed_score_row_is_refused(row, shape):
     split = LinkSplit(test=[("a", "r", "b")], candidates={"r": list("bcdef")})
-    message = f"gave {what} for head 'a' and relation 'r', not a row of 5 scores"
-    with pytest.raises(EvaluationError, match=message):
+    message = f"gave shape {shape} for head 'a' and relation 'r', not (5,)"
+    with pytest.raises(EvaluationError, match=re.escape(message)):
         ranking_report(split, lambda h, r, tails: row(len(tails)))
 
 
