@@ -1,7 +1,16 @@
-"""Checkpoint I/O, interaction-data ingestion, split handling, and 2D export."""
+"""Checkpoint I/O, interaction-data ingestion, split handling, and 2D export.
+
+A checkpoint (format version 2) is one JSON object, as ``json.dump(indent=1)``
+writes it: ``version``; ``metadata``, ``dim`` first; ``classes`` and
+``relations``, the names of the table rows as JSON arrays; and ``centers``,
+``radii`` and ``vectors``, each one padded base64 string (RFC 4648, no line
+breaks) of that table's little-endian, row-major float64 bytes, so the tables
+load back bit for bit.
+"""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -16,8 +25,10 @@ from .embeddings import EmbeddingSet
 from .evaluation import LinkSplit, entity_index
 from .ontology import GCI, TOP_NAME, Atomic, Existential, Nominal, Ontology
 
-CHECKPOINT_VERSION = 1
-_NUMBERS = {int, float}  # the types json reads a JSON number as
+CHECKPOINT_VERSION = 2
+_TABLES = ("centers", "radii", "vectors")  # EmbeddingSet's three tables, in its field order
+_SECTIONS = {"metadata": dict, "classes": list, "relations": list, **dict.fromkeys(_TABLES, str)}
+_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a base64 string"}
 FUNCTION_RELATION = "hasFunction"  # links an entity to each of its annotations
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, valid, test
 
@@ -68,21 +79,17 @@ def save_checkpoint(
     bad = _invalid(e, class_names, relation_names) or _unsaved(metadata)
     if bad is not None:
         raise CheckpointError(f"cannot write checkpoint {path}: {bad}")
-    head = json.dumps({"version": CHECKPOINT_VERSION, "metadata": metadata}, indent=1)
-    classes = (
-        f'{{\n   "center": {_json_floats(center, 4)},\n   "radius": {radius!r}\n  }}'
-        for center, radius in zip(e.class_centers.tolist(), e.class_radii.tolist())
-    )
-    relations = (_json_floats(vector, 3) for vector in e.rel_vectors.tolist())
+    payload = {
+        "version": CHECKPOINT_VERSION, "metadata": metadata, "classes": class_names, "relations": relation_names
+    }
+    for key, table in zip(_TABLES, (e.class_centers, e.class_radii, e.rel_vectors)):
+        # tobytes is row-major whatever the table's strides
+        payload[key] = base64.b64encode(np.asarray(table, dtype="<f8").tobytes()).decode("ascii")
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
-        # the bytes json.dump(indent=1) writes, without its pure-Python encoder
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f'{head[:-2]},\n "classes": ')
-            _write_json_object(fh, class_names, classes)
-            fh.write(',\n "relations": ')
-            _write_json_object(fh, relation_names, relations)
-            fh.write("\n}\n")
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,25 +108,6 @@ def _unsaved(metadata: dict) -> str | None:
         if back != {key: value}:  # a key that is not a string, a tuple, ...
             return f"metadata key {key!r} would load back as {back}"
     return None
-
-
-def _json_floats(values: list[float], indent: int) -> str:
-    """A nonempty list of finite floats as json.dump(indent=1) writes it at this depth."""
-    pad = "\n" + " " * indent
-    return f"[{pad}{(',' + pad).join(map(float.__repr__, values))}\n{' ' * (indent - 1)}]"
-
-
-def _write_json_object(fh, names: list[str], bodies) -> None:
-    """A top-level section's object of formatted bodies, as json.dump(indent=1)
-    writes it; one entry at a time, so the text is never held whole."""
-    if not names:
-        fh.write("{}")
-        return
-    separator = "{\n  "
-    for name, body in zip(names, bodies):
-        fh.write(f"{separator}{json.encoder.encode_basestring_ascii(name)}: {body}")
-        separator = ",\n  "
-    fh.write("\n }")
 
 
 def _invalid(e: EmbeddingSet, class_names: list, relation_names: list) -> str | None:
@@ -163,43 +151,34 @@ def load_checkpoint(path: str | Path, expect_dim: int | None = None) -> Checkpoi
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise CheckpointError(f"corrupt checkpoint {path}: the top level is not a JSON object")
-
-    for key in ("version", "metadata", "classes", "relations"):
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # True and 2.0 equal 2
+        raise CheckpointError(f"checkpoint {path}: version {version!r} != supported {CHECKPOINT_VERSION}")
+    for key, kind in _SECTIONS.items():
         if key not in payload:
             raise CheckpointError(f"corrupt checkpoint {path}: missing {key!r}")
-        if key != "version" and not isinstance(payload[key], dict):
-            raise CheckpointError(f"corrupt checkpoint {path}: {key!r} is not a JSON object")
-    version = payload["version"]
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # True and 1.0 equal 1
-        raise CheckpointError(f"checkpoint {path}: version {version!r} != supported {CHECKPOINT_VERSION}")
+        if not isinstance(payload[key], kind):
+            raise CheckpointError(f"corrupt checkpoint {path}: {key!r} is not {_KINDS[kind]}")
     dim = payload["metadata"].get("dim")
     if type(dim) is not int or dim < 1:  # a bool is an int, but not a dimension
         raise CheckpointError(f"corrupt checkpoint {path}: metadata dim {dim!r} is not a positive integer")
     if expect_dim is not None and dim != expect_dim:
         raise CheckpointError(f"checkpoint {path}: dimension {dim} != requested {expect_dim}")
 
-    classes, relations = payload["classes"], payload["relations"]
-    centers, radii = np.empty((len(classes), dim)), np.empty(len(classes))
-    rels = np.empty((len(relations), dim))
-    kind = "class"
-    try:
-        for i, (name, entry) in enumerate(classes.items()):
-            if type(entry) is not dict:
-                _corrupt(path, "class", name, f"is {entry!r}, not an object with 'center' and 'radius'")
-            if "radius" not in entry or "center" not in entry:
-                _corrupt(path, "class", name, f"has no {'radius' if 'radius' not in entry else 'center'!r}")
-            radius = entry["radius"]
-            if type(radius) not in _NUMBERS:  # numpy would read a string or a boolean as a number
-                _corrupt(path, "class", name, f"has a radius {radius!r}, not a number")
-            radii[i] = radius
-            centers[i] = _vector(path, "class", name, entry["center"], dim)
-        kind = "relation"
-        for i, (name, entry) in enumerate(relations.items()):
-            rels[i] = _vector(path, "relation", name, entry, dim)
-    except OverflowError:  # a JSON integer past the float range, which json reads exactly
-        why = "holds an integer too large for a float"
-        raise CheckpointError(f"corrupt checkpoint {path}: {kind} {name!r} {why}") from None
-    e, class_names, relation_names = EmbeddingSet(centers, radii, rels), list(classes), list(relations)
+    class_names, relation_names = payload["classes"], payload["relations"]
+    shapes = ((len(class_names), dim), (len(class_names),), (len(relation_names), dim))
+    tables = []
+    for key, shape in zip(_TABLES, shapes):
+        try:
+            raw = base64.b64decode(payload[key], validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            raise CheckpointError(f"corrupt checkpoint {path}: {key!r} is not strict base64") from None
+        size = 8 * math.prod(shape)
+        if len(raw) != size:
+            why = f"holds {len(raw)} bytes, not the {size} of a {shape} float64 table"
+            raise CheckpointError(f"corrupt checkpoint {path}: {key!r} {why}")
+        tables.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+    e = EmbeddingSet(*tables)
     bad = _invalid(e, class_names, relation_names)
     if bad is not None:
         raise CheckpointError(f"checkpoint {path}: {bad}")
@@ -213,22 +192,6 @@ def _unique_keys(pairs: list) -> dict:
         key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
         raise ValueError(f"key {key!r} is repeated in one object")
     return obj
-
-
-def _vector(path, kind: str, name: str, vector, dim: int) -> list:
-    """``vector`` if it is a flat list of ``dim`` JSON numbers, else CheckpointError naming the entry."""
-    if type(vector) is list and len(vector) == dim and _NUMBERS.issuperset(map(type, vector)):
-        return vector
-    if type(vector) is not list:
-        _corrupt(path, kind, name, f"has {vector!r}, not a list of {dim} numbers")
-    if len(vector) != dim:
-        _corrupt(path, kind, name, f"has a vector of shape ({len(vector)},); metadata dim is {dim}")
-    x = next(x for x in vector if type(x) not in _NUMBERS)
-    _corrupt(path, kind, name, f"holds {x!r}, not a number")
-
-
-def _corrupt(path, kind: str, name: str, why: str):
-    raise CheckpointError(f"corrupt checkpoint {path}: {kind} {name!r} {why}")
 
 
 # --- ingestion -----------------------------------------------------------

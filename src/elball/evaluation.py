@@ -161,9 +161,15 @@ class LinkSplit:
     def candidate_tails(self, rel) -> list[Hashable]:
         """The given pool of ``rel``, or else its derived pool, stored in ``candidates``
         so that a repeat call is one lookup. A pool stored here is a given pool from
-        then on: it does not follow later edits to the triples."""
+        then on: it does not follow later edits to the triples. A derived pool that
+        the ranking plans hold, while they fit the split, is copied, not derived again."""
         if rel not in self.candidates:
-            self.candidates[rel] = _derived_pool(self, rel)
+            plans = getattr(self, "_plans", None)
+            plan = plans.by_rel.get(rel) if plans is not None else None
+            if plan is not None and not plan.given and plans.fits(self):
+                self.candidates[rel] = list(plan.pool)  # a copy: editing it must not edit the plan
+            else:
+                self.candidates[rel] = _derived_pool(self, rel)
         return self.candidates[rel]
 
 

@@ -1,9 +1,11 @@
 import ast
+import base64
 import dataclasses
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from elball import cli, dataio, trainer
 from elball.dataio import (
@@ -90,8 +93,8 @@ class TestCheckpoint:
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"version": 1, "metadata": {}, "classes": {}}))
-        with pytest.raises(CheckpointError):
+        path.write_text(json.dumps({"version": dataio.CHECKPOINT_VERSION, "metadata": {}, "classes": []}))
+        with pytest.raises(CheckpointError, match="missing 'relations'"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -129,10 +132,34 @@ class TestCheckpoint:
         assert load_checkpoint(path).embeddings.class_radii[0] == TOP_RADIUS
 
 
+def table_b64(values):
+    """A table's values packed as little-endian float64, row by row, in base64."""
+    values = np.asarray(values, dtype=float).ravel().tolist()  # row-major whatever the strides
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def table_values(payload, key):
+    return np.frombuffer(base64.b64decode(payload[key]), dtype="<f8").copy()
+
+
 def json_dump_bytes(e, class_names, relation_names, metadata):
-    """What save_checkpoint wrote through json.dump before it formatted the tables itself."""
+    """Format version 2 from its definition: json.dump(indent=1) of the names and tables."""
     payload = {
-        "version": dataio.CHECKPOINT_VERSION,
+        "version": 2,
+        "metadata": {"dim": e.dim, **metadata},
+        "classes": class_names,
+        "relations": relation_names,
+        "centers": table_b64(e.class_centers),
+        "radii": table_b64(e.class_radii),
+        "vectors": table_b64(e.rel_vectors),
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+def version_1_bytes(e, class_names, relation_names, metadata):
+    """A checkpoint as format version 1 wrote it, each value a JSON number."""
+    payload = {
+        "version": 1,
         "metadata": {"dim": e.dim, **metadata},
         "classes": {
             name: {"center": e.class_centers[i].tolist(), "radius": float(e.class_radii[i])}
@@ -140,7 +167,7 @@ def json_dump_bytes(e, class_names, relation_names, metadata):
         },
         "relations": {name: e.rel_vectors[i].tolist() for i, name in enumerate(relation_names)},
     }
-    return (json.dumps(payload, indent=1, allow_nan=False) + "\n").encode()
+    return (json.dumps(payload, indent=1) + "\n").encode()
 
 
 @pytest.mark.parametrize("n_rels", [1, 3, 0])
@@ -162,6 +189,81 @@ def test_save_writes_the_bytes_of_json_dump(tmp_path, n_rels):
     assert ckpt.class_names == class_names and ckpt.relation_names == relation_names
     assert np.array_equal(ckpt.embeddings.class_centers, e.class_centers)
     assert np.signbit(ckpt.embeddings.class_radii[2])
+
+
+def test_save_writes_these_version_2_bytes(tmp_path):
+    e = EmbeddingSet(np.array([[0.0], [-0.0], [1.5]]), np.array([TOP_RADIUS, 0.0, 5e-324]), np.array([[-2.0]]))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, e, ["Top", "Bot", "A"], ["r"], {"seed": 7})
+    assert path.read_bytes() == (
+        b'{\n "version": 2,\n "metadata": {\n  "dim": 1,\n  "seed": 7\n },\n'
+        b' "classes": [\n  "Top",\n  "Bot",\n  "A"\n ],\n "relations": [\n  "r"\n ],\n'
+        b' "centers": "AAAAAAAAAAAAAAAAAAAAgAAAAAAAAPg/",\n'
+        b' "radii": "////////738AAAAAAAAAAAEAAAAAAAAA",\n'
+        b' "vectors": "AAAAAAAAAMA="\n}\n'
+    )
+
+
+def test_a_version_1_checkpoint_is_refused_naming_both_versions(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(version_1_bytes(sample_embeddings(), CLASS_NAMES, REL_NAMES, {"seed": 7}))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"checkpoint {path}: version 1 != supported 2"
+
+
+# values whose bytes are easy to get wrong, among any finite ones
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, TOP_RADIUS]
+
+
+@st.composite
+def table_sets(draw):
+    """Tables and names a checkpoint may hold: Top anywhere, 0-3 relations."""
+    dim = draw(st.integers(1, 3))
+    class_names = draw(st.lists(st.text(max_size=4).filter(lambda name: name != "Top"), max_size=4, unique=True))
+    class_names.insert(draw(st.integers(0, len(class_names))), "Top")
+    relation_names = draw(st.lists(st.text(max_size=4), max_size=3, unique=True))
+    value = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    radius = st.sampled_from([r for r in EDGE_FLOATS if not r < 0]) | st.floats(0, allow_infinity=False)
+
+    def table(shape, values):
+        return np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+    n = len(class_names)
+    e = EmbeddingSet(table((n, dim), value), table((n,), radius), table((len(relation_names), dim), value))
+    e.class_radii[class_names.index("Top")] = TOP_RADIUS
+    return e, class_names, relation_names
+
+
+@given(tables=table_sets())
+def test_tables_round_trip_bit_exactly(tmp_path_factory, tables):
+    e, class_names, relation_names = tables
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    save_checkpoint(path, e, class_names, relation_names, {"seed": 1})
+    ckpt = load_checkpoint(path)
+    for table in ("class_centers", "class_radii", "rel_vectors"):
+        got, want = getattr(ckpt.embeddings, table), getattr(e, table)
+        assert got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ckpt.class_names == class_names and ckpt.relation_names == relation_names
+    again = path.with_name("again.json")
+    save_checkpoint(again, ckpt.embeddings, ckpt.class_names, ckpt.relation_names, ckpt.metadata)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_big_endian_and_strided_tables_save_the_bytes_of_native_ones(tmp_path):
+    e = sample_embeddings(dim=3, n_classes=5, n_rels=2, seed=3)
+    names = (CLASS_NAMES + ["C"], ["r", "s"], {})
+    save_checkpoint(tmp_path / "native.json", e, *names)
+    big = EmbeddingSet(*(table.astype(">f8") for table in (e.class_centers, e.class_radii, e.rel_vectors)))
+    strided = EmbeddingSet(
+        np.asfortranarray(e.class_centers), np.repeat(e.class_radii, 2)[::2], e.rel_vectors.T.copy().T
+    )
+    assert not strided.class_centers.flags.c_contiguous and not strided.class_radii.flags.c_contiguous
+    for other in (big, strided):
+        save_checkpoint(tmp_path / "other.json", other, *names)
+        assert (tmp_path / "other.json").read_bytes() == (tmp_path / "native.json").read_bytes()
+    loaded = load_checkpoint(tmp_path / "other.json").embeddings
+    assert all(t.dtype.isnative and t.flags.c_contiguous and t.flags.writeable for t in vars(loaded).values())
 
 
 def test_save_refuses_a_non_finite_metadata_value(tmp_path):
@@ -304,11 +406,11 @@ def test_an_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatc
     save_checkpoint(path, sample_embeddings(seed=0), CLASS_NAMES, REL_NAMES, {})
     before = path.read_bytes()
 
-    def interrupted(fh, names, bodies):
-        fh.write('{\n  "Top": ')
+    def interrupted(payload, fh, **options):
+        fh.write('{\n "version": 2')
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(dataio, "_write_json_object", interrupted)
+    monkeypatch.setattr(dataio.json, "dump", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         save_checkpoint(path, sample_embeddings(seed=1), CLASS_NAMES, REL_NAMES, {})
     assert path.read_bytes() == before
@@ -357,13 +459,11 @@ class TestNonFiniteCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
         payload = json.loads(path.read_text())
-        if table == "class_centers":
-            payload["classes"]["A"]["center"][1] = value
-        elif table == "class_radii":
-            payload["classes"]["B"]["radius"] = value
-        else:
-            payload["relations"]["r"][0] = value
-        path.write_text(json.dumps(payload))  # NaN and Infinity tokens
+        key = {"class_centers": "centers", "class_radii": "radii", "rel_vectors": "vectors"}[table]
+        values = table_values(payload, key).reshape(getattr(sample_embeddings(), table).shape)
+        values[at] = value
+        payload[key] = table_b64(values)
+        path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value) and symbol in str(info.value)
@@ -385,7 +485,9 @@ class TestNegativeRadiusCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, sample_embeddings(), CLASS_NAMES, REL_NAMES, {})
         payload = json.loads(path.read_text())
-        payload["classes"]["B"]["radius"] = -1e-300
+        radii = table_values(payload, "radii")
+        radii[3] = -1e-300
+        payload["radii"] = table_b64(radii)
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
@@ -401,59 +503,57 @@ class TestNegativeRadiusCheckpoint:
 
 
 MALFORMED = [
-    pytest.param(lambda p: p["classes"]["A"].pop("radius"), "class 'A'", id="no-radius"),
-    pytest.param(lambda p: p["classes"]["B"].update(center=[0.5]), "class 'B'", id="ragged-center"),
-    pytest.param(lambda p: p["classes"]["A"].update(radius="wide"), "class 'A'", id="text-radius"),
-    pytest.param(lambda p: p.update(metadata=[2]), "'metadata'", id="metadata-list"),
-    pytest.param(lambda p: p["relations"]["r"].append(0.5), "relation 'r'", id="long-relation"),
-    pytest.param(lambda p: p.update(classes={}), "no 'Top' class", id="no-classes"),
+    pytest.param(lambda p: p.update(metadata=[2]), "'metadata' is not a JSON object", id="metadata-list"),
     pytest.param(lambda p: p["metadata"].update(dim=-1), "metadata dim -1", id="negative-dim"),
     pytest.param(lambda p: p["metadata"].update(dim=True), "metadata dim True", id="bool-dim"),
-    # json reads these as strings and booleans, which numpy would take as numbers
-    pytest.param(
-        lambda p: p["classes"]["A"].update(radius="1.5"), "class 'A' has a radius '1.5'", id="string-radius"
-    ),
-    pytest.param(
-        lambda p: p["classes"]["A"].update(radius=True), "class 'A' has a radius True", id="bool-radius"
-    ),
-    pytest.param(
-        lambda p: p["classes"]["B"].update(center=["1", "2"]), "class 'B' holds '1'", id="string-center"
-    ),
-    pytest.param(
-        lambda p: p["classes"]["B"].update(center=[0.5, False]), "class 'B' holds False", id="bool-center"
-    ),
-    pytest.param(
-        lambda p: p["relations"].update(r=[0.5, "2"]), "relation 'r' holds '2'", id="string-relation"
-    ),
     pytest.param(lambda p: p.update(version=True), "version True", id="bool-version"),
-    pytest.param(lambda p: p.update(version=1.0), "version 1.0", id="float-version"),
-    # json.load keeps the last of two equal keys; the first entry would vanish
+    pytest.param(lambda p: p.update(version=2.0), "version 2.0", id="float-version"),
+    # json.load keeps the last of two equal keys; the first would vanish
     pytest.param(
-        lambda p: p.update(classes=Repeated(p["classes"])), "key 'B' is repeated", id="repeated-class"
+        lambda p: p.update(metadata=Repeated(p["metadata"])), "key 'dim' is repeated", id="repeated-key"
     ),
-    # what the one walk over the entries decides, each entry named
-    pytest.param(lambda p: p["classes"].update(A=[0.5, 0.5]), "class 'A' is [0.5, 0.5]", id="list-class"),
-    pytest.param(lambda p: p["classes"].update(A=3), "class 'A' is 3", id="number-class"),
-    pytest.param(lambda p: p["classes"]["A"].pop("center"), "class 'A' has no 'center'", id="no-center"),
-    pytest.param(lambda p: p["classes"]["B"].update(center=None), "class 'B' has None", id="null-center"),
+    # the names
+    pytest.param(lambda p: p.pop("classes"), "missing 'classes'", id="no-classes"),
     pytest.param(
-        lambda p: p["classes"]["B"].update(center=[[0.5, 0.5]]), "class 'B' has a vector", id="nested-center"
+        lambda p: p.update(relations={"r": [0.5, 0.5]}), "'relations' is not a JSON array", id="object-relation"
+    ),
+    pytest.param(lambda p: p["classes"].__setitem__(2, 3), "class name 3 is not a string", id="number-class"),
+    pytest.param(
+        lambda p: p["classes"].__setitem__(3, "A"), "class name 'A' is repeated", id="repeated-class"
+    ),
+    # a table that is missing, or not a string
+    pytest.param(lambda p: p.pop("centers"), "missing 'centers'", id="no-center"),
+    pytest.param(lambda p: p.pop("radii"), "missing 'radii'", id="no-radius"),
+    pytest.param(lambda p: p.update(centers=None), "'centers' is not a base64 string", id="null-center"),
+    pytest.param(lambda p: p.update(centers=False), "'centers' is not a base64 string", id="bool-center"),
+    pytest.param(lambda p: p.update(radii=True), "'radii' is not a base64 string", id="bool-radius"),
+    pytest.param(
+        lambda p: p.update(centers=[[0.5, 0.5]] * 4), "'centers' is not a base64 string", id="nested-center"
+    ),
+    # json reads a JSON integer exactly, however long
+    pytest.param(lambda p: p.update(radii=10**400), "'radii' is not a base64 string", id="huge-radius"),
+    # a string that is not strict base64
+    pytest.param(lambda p: p.update(radii="1.5"), "'radii' is not strict base64", id="string-radius"),
+    pytest.param(lambda p: p.update(vectors="0.5, 2"), "'vectors' is not strict base64", id="string-relation"),
+    pytest.param(
+        lambda p: p.update(radii=p["radii"][:8] + "\n" + p["radii"][8:]),
+        "'radii' is not strict base64",
+        id="text-radius",
+    ),
+    pytest.param(lambda p: p.update(centers=p["centers"] + "é"), "'centers' is not strict base64", id="string-center"),
+    pytest.param(
+        lambda p: p.update(radii=p["radii"].rstrip("=")), "'radii' is not strict base64", id="unpadded-radius"
+    ),
+    # a table of the wrong size
+    pytest.param(
+        lambda p: p.update(centers=table_b64(table_values(p, "centers")[:-1])),
+        "'centers' holds 56 bytes, not the 64 of a (4, 2) float64 table",
+        id="ragged-center",
     ),
     pytest.param(
-        lambda p: p["classes"]["B"].update(center=[[0.5], [0.5]]), "class 'B' holds [0.5]", id="nested-rows"
-    ),
-    pytest.param(
-        lambda p: p["relations"].update(r={"center": [0.5, 0.5]}), "relation 'r' has {", id="object-relation"
-    ),
-    # json reads a JSON integer exactly, and numpy cannot store one past the float range
-    pytest.param(
-        lambda p: p["classes"]["A"].update(radius=10**400), "class 'A' holds an integer", id="huge-radius"
-    ),
-    pytest.param(
-        lambda p: p["classes"]["B"].update(center=[0.5, -(10**400)]), "class 'B' holds an integer", id="huge-center"
-    ),
-    pytest.param(
-        lambda p: p["relations"].update(r=[10**400, 0.5]), "relation 'r' holds an integer", id="huge-relation"
+        lambda p: p.update(vectors=table_b64([*table_values(p, "vectors"), 0.5])),
+        "'vectors' holds 24 bytes, not the 16 of a (1, 2) float64 table",
+        id="long-relation",
     ),
 ]
 

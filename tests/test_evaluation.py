@@ -596,6 +596,25 @@ def test_a_warm_report_does_not_read_the_triples():
     assert split.train.iterations == split.valid.iterations == 0
 
 
+def test_a_planned_derived_pool_is_copied_without_reading_the_triples():
+    split = memo_split()
+    ranking_report(split, MEMO_SCORES)
+    split.train, split.valid, split.test = Watched(split.train), Watched(split.valid), Watched(split.test)
+    pool = split.candidate_tails("r")
+    assert pool == ["t0", "t1", "t4", "t5", "t3"]
+    assert split.train.iterations == split.valid.iterations == split.test.iterations == 0
+    pool.append("t6")  # a given pool from now on, which the plans must not share
+    expect = brute_force_report(dataclasses.replace(split, candidates=dict(split.candidates)), MEMO_SCORES)
+    assert ranking_report(split, MEMO_SCORES) == expect
+
+
+def test_a_derived_pool_after_an_edit_in_place_is_derived_afresh():
+    split = memo_split()
+    ranking_report(split, MEMO_SCORES)
+    split.train.append(("h", "r", "t6"))
+    assert split.candidate_tails("r") == ["t0", "t1", "t4", "t6", "t5", "t3"]
+
+
 def test_entity_index():
     index = entity_index(["Top", "{P1}", "P2", "{P2}", "{}"])
     assert index["P1"] == index["{P1}"] == 1
